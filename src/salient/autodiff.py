@@ -258,17 +258,68 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """(M, K) @ (K, N), or a time-major (T, M, K) @ (K, N), which numpy runs
+    as one product per slice, so each slice equals its own 2-D product."""
     tape = _check_tape(a, b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
+    if a.data.ndim not in (2, 3) or b.data.ndim != 2 or a.shape[-1] != b.shape[0]:
         raise ShapeMismatch(f"matmul: {a.shape} @ {b.shape}")
     ia, ib = a.idx, b.idx
     da, db = a.data, b.data
 
     def bwd(g, acc):
         _acc(acc, ia, g @ db.T)
-        _acc(acc, ib, da.T @ g)
+        _acc(acc, ib, da.reshape(-1, db.shape[0]).T @ g.reshape(-1, db.shape[1]))
 
     return tape._record(da @ db, "matmul", (ia, ib), bwd)
+
+
+def lstm(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
+    """One LSTM layer over a time-major sequence x (T, B, D) from a zero
+    state; returns the hidden states (T, B, H). wx (D, 4H), wh (H, 4H) and
+    b (4H,) hold the gates in the order [input, forget, candidate, output].
+    Each step computes its own x_t @ wx and h @ wh, so a step's output does
+    not depend on the steps after it. The backward pass is backpropagation
+    through time over the cached gate activations."""
+    tape = _check_tape(x, wx, wh, b)
+    h = wh.shape[0]
+    if x.data.ndim != 3 or wx.shape != (x.shape[2], 4 * h) or wh.shape != (h, 4 * h) or b.shape != (4 * h,):
+        raise ShapeMismatch(f"lstm: x {x.shape}, wx {wx.shape}, wh {wh.shape}, b {b.shape}")
+    steps, rows, _ = x.shape
+    dx, dwx, dwh, db = x.data, wx.data, wh.data, b.data
+    hs = np.zeros((steps + 1, rows, h), dtype=tape.dtype)  # hs[t + 1]: state after step t
+    cs = np.zeros_like(hs)
+    acts = np.empty((steps, rows, 4 * h), dtype=tape.dtype)
+    for t in range(steps):
+        pre = dx[t] @ dwx + db + hs[t] @ dwh
+        acts[t] = expit(pre)
+        acts[t, :, 2 * h : 3 * h] = np.tanh(pre[:, 2 * h : 3 * h])
+        i_gate, f_gate, g_cand, o_gate = np.split(acts[t], 4, axis=1)
+        cs[t + 1] = f_gate * cs[t] + i_gate * g_cand
+        hs[t + 1] = o_gate * np.tanh(cs[t + 1])
+    ix, iwx, iwh, ib = x.idx, wx.idx, wh.idx, b.idx
+    need_dx = tape._needs[ix]
+
+    def bwd(g, acc):
+        d_pre = np.empty_like(acts)
+        dh, dc = np.zeros_like(hs[0]), np.zeros_like(cs[0])
+        for t in range(steps - 1, -1, -1):
+            i_gate, f_gate, g_cand, o_gate = np.split(acts[t], 4, axis=1)
+            tanh_c = np.tanh(cs[t + 1])
+            dh = g[t] + dh
+            dc = dh * o_gate * (1.0 - tanh_c * tanh_c) + dc
+            d_pre[t] = np.concatenate([
+                dc * g_cand * i_gate * (1.0 - i_gate), dc * cs[t] * f_gate * (1.0 - f_gate),
+                dc * i_gate * (1.0 - g_cand * g_cand), dh * tanh_c * o_gate * (1.0 - o_gate),
+            ], axis=1)
+            dh, dc = d_pre[t] @ dwh.T, dc * f_gate
+        flat = d_pre.reshape(steps * rows, 4 * h)
+        if need_dx:
+            _acc(acc, ix, d_pre @ dwx.T)
+        _acc(acc, iwx, dx.reshape(steps * rows, -1).T @ flat)
+        _acc(acc, iwh, hs[:-1].reshape(steps * rows, h).T @ flat)
+        _acc(acc, ib, flat.sum(axis=0))
+
+    return tape._record(hs[1:], "lstm", (ix, iwx, iwh, ib), bwd)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -381,6 +432,27 @@ def reshape(x: Tensor, shape: tuple) -> Tensor:
 # finite-difference verification
 # ---------------------------------------------------------------------------
 
+def _ad_gradient(f, point, h: float) -> tuple:
+    """The common half of both finite-difference checks: the point as a
+    float64 array, the reverse-mode gradient of f there, and an evaluator of
+    f at any point."""
+    if not (h > 0):
+        raise InvalidStep(f"step size must be positive, got {h}")
+    base = np.array(point, dtype=np.float64)
+    tape = Tape(dtype=np.float64)
+    x = tape.leaf(base.copy())
+    out = f(tape, x)
+    if out.data.shape != ():
+        raise NotScalar("grad_check target must be scalar-valued")
+    g = backward(out).wrt(x)
+
+    def eval_at(vec):
+        t = Tape(dtype=np.float64)
+        return float(f(t, t.leaf(vec)).data)
+
+    return base, np.zeros_like(base) if g is None else np.asarray(g), eval_at
+
+
 def grad_check(f, point, h: float, coords=None) -> float:
     """Compare reverse-mode gradients of f against central differences.
 
@@ -389,22 +461,7 @@ def grad_check(f, point, h: float, coords=None) -> float:
     |g_ad - g_fd| / max(1e-12, |g_ad| + |g_fd|). `coords` restricts the
     check to a subset of flat indices (full scan by default).
     """
-    if not (h > 0):
-        raise InvalidStep(f"step size must be positive, got {h}")
-    base = np.array(point, dtype=np.float64)
-
-    tape = Tape(dtype=np.float64)
-    x = tape.leaf(base.copy())
-    out = f(tape, x)
-    if out.data.shape != ():
-        raise NotScalar("grad_check target must be scalar-valued")
-    g = backward(out).wrt(x)
-    g_ad = np.zeros_like(base) if g is None else np.asarray(g)
-
-    def eval_at(vec):
-        t = Tape(dtype=np.float64)
-        return float(f(t, t.leaf(vec)).data)
-
+    base, g_ad, eval_at = _ad_gradient(f, point, h)
     flat = base.ravel()
     ad = g_ad.ravel()
     if coords is None:
@@ -432,24 +489,9 @@ def directional_grad_check(f, point, h: float, n_dirs: int = 16, rng=None) -> fl
     comparison stays far above the finite-difference noise floor even where
     individual coordinates are tiny. Returns the max relative error.
     """
-    if not (h > 0):
-        raise InvalidStep(f"step size must be positive, got {h}")
     if rng is None:
         rng = np.random.default_rng(0)
-    base = np.array(point, dtype=np.float64)
-
-    tape = Tape(dtype=np.float64)
-    x = tape.leaf(base.copy())
-    out = f(tape, x)
-    if out.data.shape != ():
-        raise NotScalar("grad_check target must be scalar-valued")
-    g = backward(out).wrt(x)
-    g_ad = np.zeros_like(base) if g is None else np.asarray(g)
-
-    def eval_at(vec):
-        t = Tape(dtype=np.float64)
-        return float(f(t, t.leaf(vec)).data)
-
+    base, g_ad, eval_at = _ad_gradient(f, point, h)
     worst = 0.0
     for _ in range(n_dirs):
         d = rng.standard_normal(base.shape)

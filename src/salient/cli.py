@@ -9,7 +9,6 @@ be reproduced from its own output plus the input files.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -177,11 +176,11 @@ def cmd_eval(args) -> int:
     _print_config("eval", {
         "checkpoint": args.checkpoint, "manifest": args.manifest,
         "snr_list": ",".join(f"{s:g}" for s in snr_list),
-        "report": args.report, "threads": args.threads,
+        "report": args.report,
     })
     params = model.load_checkpoint(args.checkpoint)
     manifest = corpus.load_manifest(args.manifest)
-    report = inference.evaluate(params, manifest, snr_list, threads=args.threads)
+    report = inference.evaluate(params, manifest, snr_list)
     inference.save_report(report, args.report)
     for snr in sorted(report.mean_cross_clone_rmse_by_snr, key=float):
         print(f"[eval] snr {snr:>4} dB: feature rmse {report.mean_cross_clone_rmse_by_snr[snr]:.4f}, "
@@ -259,8 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--snr-list", default="0,5,10,15")
     p.add_argument("--report", required=True, help="output JSON path")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                   help="worker threads for per-utterance evaluation")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("selfcheck", help="run the built-in verification oracles")

@@ -169,6 +169,11 @@ def build_clone_batch(
     (hardest) member, and the spread puts clones of one item at different
     noise levels so the equivalence term ties the SNR levels together rather
     than learning one code per level.
+
+    The SNR is measured against the RMS of the 6-frame segment being mixed,
+    not of its whole utterance; `inference.evaluate` and
+    `training.compute_norm_stats` mix whole utterances, so a quiet segment
+    there sits locally further below the noise than any training clone.
     """
     fb = fb or audio.default_filterbank()
     if rng is None:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -195,7 +194,7 @@ def _eval_one(params, entry, snr_list, seed, fb):
     return rows, clean_track.features
 
 
-def evaluate(params: ModelParams, manifest: Manifest, snr_list, threads: int = 1) -> EvalReport:
+def evaluate(params: ModelParams, manifest: Manifest, snr_list) -> EvalReport:
     """Per utterance and SNR: build one noisy version, compare noisy-input
     features against clean-input features (cross-clone RMSE), and compare the
     decoded mel of the noisy input against the clean frames. Clean-input
@@ -207,11 +206,7 @@ def evaluate(params: ModelParams, manifest: Manifest, snr_list, threads: int = 1
     entries = sorted(manifest.entries, key=lambda e: e.utterance_id)
     snr_list = [float(s) for s in snr_list]
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda e: _eval_one(params, e, snr_list, manifest.seed, fb), entries))
-    else:
-        results = [_eval_one(params, e, snr_list, manifest.seed, fb) for e in entries]
+    results = [_eval_one(params, e, snr_list, manifest.seed, fb) for e in entries]
 
     per_utterance = [row for rows, _ in results for row in rows]
     pooled = np.concatenate([feats for _, feats in results], axis=0).astype(np.float64)

@@ -157,29 +157,20 @@ def laplace_prior_sample(count: int, dim: int, rng: np.random.Generator) -> np.n
 # tape graph builders (training path)
 # ---------------------------------------------------------------------------
 
-def equivalence_loss_graph(z_by_t: list, clones: int, items: int) -> Tensor:
-    """z_by_t: per-frame tensors (Q*m, L) in clone-major row order (clone q
+def equivalence_loss_graph(z: Tensor, clones: int, items: int) -> Tensor:
+    """z: time-major features (T, Q*m, L) in clone-major row order (clone q
     occupies rows [q*m, (q+1)*m))."""
     if clones < 2:
         raise QTooSmall(f"need at least 2 clones, got {clones}")
-    total = None
-    for z_t in z_by_t:
-        ref = ad.slice_(z_t, 0, 0, items)
-        for q in range(1, clones):
-            term = ad.sub(ad.slice_(z_t, 0, q * items, (q + 1) * items), ref).sqnorm()
-            total = term if total is None else ad.add(total, term)
-    return total
+    ref = ad.slice_(z, 1, 0, items)
+    others = ad.slice_(z, 1, items, clones * items)
+    return ad.sub(others, ad.concat([ref] * (clones - 1), axis=1)).sqnorm()
 
 
-def decoder_loss_graph(dec_by_t: list, targets_by_t: list, clones: int, items: int) -> Tensor:
-    """dec_by_t: per-frame tensors (Q*m, N), clone-major; targets_by_t:
-    per-frame constants (m, N)."""
-    total = None
-    for dec_t, tgt_t in zip(dec_by_t, targets_by_t):
-        for q in range(clones):
-            term = ad.sub(ad.slice_(dec_t, 0, q * items, (q + 1) * items), tgt_t).sqnorm()
-            total = term if total is None else ad.add(total, term)
-    return total
+def decoder_loss_graph(dec: Tensor, targets: Tensor, clones: int) -> Tensor:
+    """dec: time-major reconstructions (T, Q*m, N), clone-major; targets:
+    the clean frames (T, m, N), shared by every clone."""
+    return ad.sub(dec, ad.concat([targets] * clones, axis=1)).sqnorm()
 
 
 def _kernel_matrix_graph(a: Tensor, b: Tensor, a_sq: Tensor, b_sq: Tensor, ones_row: Tensor, c: float) -> Tensor:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
-from .errors import BadMagic, ShapeMismatch, TruncatedFile, VersionMismatch
+from .errors import BadMagic, CorruptFile, ShapeMismatch, TruncatedFile, VersionMismatch
 from .seeding import named_stream
 
 CHECKPOINT_MAGIC = b"SLNT"
@@ -132,59 +132,32 @@ def denormalize(params: ModelParams, frames: np.ndarray) -> np.ndarray:
 # tape graph builders (shared by inference and training)
 # ---------------------------------------------------------------------------
 
-def _lstm_layer(xs: list, wx: Tensor, wh: Tensor, b: Tensor, hidden: int) -> list:
-    """Run one LSTM layer over a list of (B, in) tensors; zero initial state.
-    The t=0 recurrent term is skipped because h0 = 0 contributes nothing."""
-    h = c = None
-    out = []
-    for x in xs:
-        pre = ad.bias_add(ad.matmul(x, wx), b)
-        if h is not None:
-            pre = ad.add(pre, ad.matmul(h, wh))
-        i_gate = ad.slice_(pre, 1, 0, hidden).sigmoid()
-        f_gate = ad.slice_(pre, 1, hidden, 2 * hidden).sigmoid()
-        g_cand = ad.slice_(pre, 1, 2 * hidden, 3 * hidden).tanh()
-        o_gate = ad.slice_(pre, 1, 3 * hidden, 4 * hidden).sigmoid()
-        c = ad.mul(i_gate, g_cand) if c is None else ad.add(ad.mul(f_gate, c), ad.mul(i_gate, g_cand))
-        h = ad.mul(o_gate, c.tanh())
-        out.append(h)
-    return out
+def _dense(seq: Tensor, leaves: dict, name: str) -> Tensor:
+    return ad.bias_add(ad.matmul(seq, leaves[f"{name}.w"]), leaves[f"{name}.b"])
 
 
-def encoder_graph(leaves: dict, config: EncoderConfig, xs: list) -> list:
-    """Per-step feature tensors (B, L) for per-step inputs (B, input_dim)."""
-    seq = xs
-    for i in range(config.lstm_layers):
-        seq = _lstm_layer(
-            seq,
-            leaves[f"enc.lstm{i}.wx"],
-            leaves[f"enc.lstm{i}.wh"],
-            leaves[f"enc.lstm{i}.b"],
-            config.hidden,
-        )
+def _lstm_stack(seq: Tensor, leaves: dict, prefix: str, layers: int) -> Tensor:
+    for i in range(layers):
+        name = f"{prefix}.lstm{i}"
+        seq = ad.lstm(seq, leaves[f"{name}.wx"], leaves[f"{name}.wh"], leaves[f"{name}.b"])
+    return seq
+
+
+def encoder_graph(leaves: dict, config: EncoderConfig, x: Tensor) -> Tensor:
+    """Features (T, B, L) for a time-major input sequence (T, B, input_dim)."""
+    seq = _lstm_stack(x, leaves, "enc", config.lstm_layers)
     for i in range(config.fc_layers):
-        w, b = leaves[f"enc.fc{i}.w"], leaves[f"enc.fc{i}.b"]
-        seq = [ad.bias_add(ad.matmul(h, w), b).tanh() for h in seq]
-    w, b = leaves["enc.head.w"], leaves["enc.head.b"]
-    return [ad.bias_add(ad.matmul(h, w), b) for h in seq]
+        seq = _dense(seq, leaves, f"enc.fc{i}").tanh()
+    return _dense(seq, leaves, "enc.head")
 
 
-def decoder_graph(leaves: dict, config: EncoderConfig, zs: list) -> list:
-    """Per-step reconstructions (B, input_dim) for per-step features (B, L)."""
-    seq = zs
+def decoder_graph(leaves: dict, config: EncoderConfig, z: Tensor) -> Tensor:
+    """Reconstructions (T, B, input_dim) for time-major features (T, B, L)."""
+    seq = z
     for i in range(config.fc_layers):
-        w, b = leaves[f"dec.fc{i}.w"], leaves[f"dec.fc{i}.b"]
-        seq = [ad.bias_add(ad.matmul(z, w), b).tanh() for z in seq]
-    for i in range(config.lstm_layers):
-        seq = _lstm_layer(
-            seq,
-            leaves[f"dec.lstm{i}.wx"],
-            leaves[f"dec.lstm{i}.wh"],
-            leaves[f"dec.lstm{i}.b"],
-            config.hidden,
-        )
-    w, b = leaves["dec.head.w"], leaves["dec.head.b"]
-    return [ad.bias_add(ad.matmul(h, w), b) for h in seq]
+        seq = _dense(seq, leaves, f"dec.fc{i}").tanh()
+    seq = _lstm_stack(seq, leaves, "dec", config.lstm_layers)
+    return _dense(seq, leaves, "dec.head")
 
 
 def param_leaves(tape: Tape, params: ModelParams, requires_grad: bool = True) -> dict:
@@ -203,9 +176,8 @@ def _run_sequence(params: ModelParams, rows: np.ndarray, builder, in_dim: int, w
         raise ShapeMismatch(f"{what}: expected (T, {in_dim}) with T >= 1, got {rows.shape}")
     tape = Tape(np.float32)
     leaves = param_leaves(tape, params, requires_grad=False)
-    xs = [tape.constant(rows[t : t + 1]) for t in range(rows.shape[0])]
-    outs = builder(leaves, params.config, xs)
-    return np.concatenate([o.data for o in outs], axis=0)
+    out = builder(leaves, params.config, tape.constant(rows[:, None, :]))
+    return out.data[:, 0, :]
 
 
 def encode_sequence(params: ModelParams, frames: np.ndarray) -> np.ndarray:
@@ -295,6 +267,8 @@ def load_checkpoint(path) -> ModelParams:
             (rank,) = struct.unpack("<I", _read_exact(fh, 4, f"{name} rank"))
             dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, f"{name} dims"))
             raw = _read_exact(fh, 4 * int(np.prod(dims)), f"{name} data")
+            if name in tensors:
+                raise CorruptFile(f"{path}: tensor {name!r} appears more than once")
             tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
 
     try:

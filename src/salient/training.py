@@ -160,24 +160,20 @@ def step_objective(tape: Tape, leaves: dict, config: EncoderConfig, inputs: np.n
     weights balance the terms whatever the batch, clone and frame sizes.
     d_global = d_e + lambda_mmd * d_mmd + lambda_d * d_d.
 
-    Rows are laid out clone-major: clone q of all m items occupies rows
-    [q*m, (q+1)*m)."""
+    Sequences are time-major, (T, rows, ·), with rows laid out clone-major:
+    clone q of all m items occupies rows [q*m, (q+1)*m)."""
     m, q_clones, t_frames, n_bins = inputs.shape
-    xs = [
-        tape.constant(np.ascontiguousarray(inputs[:, :, t, :].transpose(1, 0, 2).reshape(q_clones * m, n_bins)))
-        for t in range(t_frames)
-    ]
-    targets_by_t = [tape.constant(np.ascontiguousarray(targets[:, t, :])) for t in range(t_frames)]
+    x = tape.constant(inputs.transpose(2, 1, 0, 3).reshape(t_frames, q_clones * m, n_bins))
+    target = tape.constant(targets.transpose(1, 0, 2))
 
-    z_by_t = encoder_graph(leaves, config, xs)
-    d_e_sum = losses_mod.equivalence_loss_graph(z_by_t, q_clones, m)
+    z = encoder_graph(leaves, config, x)
+    d_e_sum = losses_mod.equivalence_loss_graph(z, q_clones, m)
     d_e = ad.scale(d_e_sum, 1.0 / (m * (q_clones - 1) * t_frames * config.feature_dim))
 
-    pooled = ad.concat([ad.slice_(z_t, 0, 0, m) for z_t in z_by_t], axis=0)
+    pooled = ad.reshape(ad.slice_(z, 1, 0, m), (t_frames * m, config.feature_dim))
     d_mmd = losses_mod.mmd_sq_graph(pooled, tape.constant(prior), weights)
 
-    dec_by_t = decoder_graph(leaves, config, z_by_t)
-    d_d_sum = losses_mod.decoder_loss_graph(dec_by_t, targets_by_t, q_clones, m)
+    d_d_sum = losses_mod.decoder_loss_graph(decoder_graph(leaves, config, z), target, q_clones)
     d_d = ad.scale(d_d_sum, 1.0 / (m * q_clones * t_frames * n_bins))
 
     d_global = ad.add(
@@ -270,18 +266,12 @@ def compute_norm_stats(manifest: Manifest, seed: int, fb=None) -> tuple:
 # full loop
 # ---------------------------------------------------------------------------
 
-def write_log(path, records) -> None:
-    lines = ["step,d_e,d_mmd,d_d,d_global,wall_ms"]
-    for r in records:
-        lines.append(f"{r.step},{r.d_e!r},{r.d_mmd!r},{r.d_d!r},{r.d_global!r},{r.wall_ms!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 def train(manifest: Manifest, model_config: EncoderConfig, config: TrainConfig) -> TrainResult:
-    """Run the loop, snapshotting every eval_every steps (and at the final
-    step); the returned parameters are the snapshot with the smallest
-    moving-average d_global. Writes init/best/final checkpoints plus a CSV
-    loss log under config.checkpoint_dir."""
+    """Run the loop, scoring the parameters every eval_every steps (and at
+    the final step) by the moving-average d_global; the returned parameters
+    are the scored ones with the smallest average, the earliest on a tie.
+    Writes init/best/final checkpoints under config.checkpoint_dir, and a CSV
+    loss log there with one flushed row per finished step."""
     fb = audio.default_filterbank()
     ckpt_dir = Path(config.checkpoint_dir)
     ckpt_dir.mkdir(parents=True, exist_ok=True)
@@ -293,49 +283,52 @@ def train(manifest: Manifest, model_config: EncoderConfig, config: TrainConfig) 
 
     optimizer = make_optimizer(config, params)
     records: list = []
-    snapshots: list = []  # (step, smoothed, tensors copy)
+    best_step, best_smoothed, best_tensors = 0, np.inf, None
     skips = 0
+    log_path = ckpt_dir / "train_log.csv"
+    with open(log_path, "w") as log_file:
+        log_file.write("step,d_e,d_mmd,d_d,d_global,wall_ms\n")
+        log_file.flush()
+        for step in range(1, config.steps + 1):
+            t0 = time.perf_counter()
+            for attempt in range(3):
+                batch_rng = named_stream(config.seed, f"batch/{step}/{attempt}")
+                batch = build_clone_batch(
+                    manifest, config.batch_size, config.clones, fb, batch_rng,
+                    snr_jitter_db=config.snr_jitter_db,
+                )
+                prior = losses_mod.laplace_prior_sample(
+                    config.batch_size * corpus_mod.CLONE_FRAMES,
+                    model_config.feature_dim,
+                    named_stream(config.seed, f"prior/{step}/{attempt}"),
+                )
+                try:
+                    breakdown = _apply_step(params, batch, prior, config.weights, optimizer, config.grad_clip)
+                    break
+                except NonFiniteLoss as exc:
+                    skips += 1
+                    log.warning("step %d attempt %d: %s (batch skipped, params unchanged)", step, attempt, exc)
+            else:
+                raise NonFiniteLoss(f"3 consecutive non-finite batches at step {step}")
 
-    for step in range(1, config.steps + 1):
-        t0 = time.perf_counter()
-        for attempt in range(3):
-            batch_rng = named_stream(config.seed, f"batch/{step}/{attempt}")
-            batch = build_clone_batch(
-                manifest, config.batch_size, config.clones, fb, batch_rng,
-                snr_jitter_db=config.snr_jitter_db,
-            )
-            prior = losses_mod.laplace_prior_sample(
-                config.batch_size * corpus_mod.CLONE_FRAMES,
-                model_config.feature_dim,
-                named_stream(config.seed, f"prior/{step}/{attempt}"),
-            )
-            try:
-                breakdown = _apply_step(params, batch, prior, config.weights, optimizer, config.grad_clip)
-                break
-            except NonFiniteLoss as exc:
-                skips += 1
-                log.warning("step %d attempt %d: %s (batch skipped, params unchanged)", step, attempt, exc)
-        else:
-            raise NonFiniteLoss(f"3 consecutive non-finite batches at step {step}")
-
-        wall_ms = (time.perf_counter() - t0) * 1e3
-        records.append(
-            TrainLogRecord(
+            r = TrainLogRecord(
                 step=step,
                 d_e=breakdown.d_e,
                 d_mmd=breakdown.d_mmd,
                 d_d=breakdown.d_d,
                 d_global=breakdown.d_global,
-                wall_ms=wall_ms,
+                wall_ms=(time.perf_counter() - t0) * 1e3,
             )
-        )
-        if step % config.eval_every == 0 or step == config.steps:
-            window = records[-min(config.eval_every, len(records)):]
-            smoothed = float(np.mean([r.d_global for r in window]))
-            if not snapshots or snapshots[-1][0] != step:
-                snapshots.append((step, smoothed, {k: v.copy() for k, v in params.tensors.items()}))
+            records.append(r)
+            log_file.write(f"{r.step},{r.d_e!r},{r.d_mmd!r},{r.d_d!r},{r.d_global!r},{r.wall_ms!r}\n")
+            log_file.flush()
+            if step % config.eval_every == 0 or step == config.steps:
+                window = records[-min(config.eval_every, len(records)):]
+                smoothed = float(np.mean([w.d_global for w in window]))
+                if smoothed < best_smoothed:
+                    best_step, best_smoothed = step, smoothed
+                    best_tensors = {k: v.copy() for k, v in params.tensors.items()}
 
-    best_step, best_smoothed, best_tensors = min(snapshots, key=lambda s: (s[1], s[0]))
     best_params = ModelParams(
         config=model_config,
         tensors=best_tensors,
@@ -345,10 +338,8 @@ def train(manifest: Manifest, model_config: EncoderConfig, config: TrainConfig) 
 
     best_path = ckpt_dir / "best.ckpt"
     final_path = ckpt_dir / "final.ckpt"
-    log_path = ckpt_dir / "train_log.csv"
     save_checkpoint(best_params, best_path)
     save_checkpoint(params, final_path)
-    write_log(log_path, records)
     return TrainResult(
         best_params=best_params,
         best_step=best_step,

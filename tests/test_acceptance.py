@@ -221,9 +221,9 @@ def desk_run(tmp_path_factory):
     )
     result = training.train(train_manifest, cfg, tc)
     snrs = [0.0, 5.0, 10.0, 15.0]
-    trained_report = inference.evaluate(result.best_params, held_manifest, snrs, threads=2)
+    trained_report = inference.evaluate(result.best_params, held_manifest, snrs)
     untrained = model.load_checkpoint(result.init_path)
-    untrained_report = inference.evaluate(untrained, held_manifest, snrs, threads=2)
+    untrained_report = inference.evaluate(untrained, held_manifest, snrs)
     print(f"{GATE} desk run: trained 2000 steps and evaluated in {time.time() - t0:.0f}s")
     return {
         "result": result,

@@ -20,6 +20,21 @@ def t64():
     return ad.Tape(dtype=np.float64)
 
 
+_W_3D = np.random.default_rng(7).standard_normal((4, 3))
+
+
+def _packed_lstm(v, steps, rows, inputs, hidden):
+    """ad.lstm with x (T, B, D), wx, wh and b all sliced from one flat
+    vector, so one check covers every operand."""
+    shapes = [(steps, rows, inputs), (inputs, 4 * hidden), (hidden, 4 * hidden), (4 * hidden,)]
+    parts, lo = [], 0
+    for shape in shapes:
+        hi = lo + int(np.prod(shape))
+        parts.append(ad.reshape(ad.slice_(v, 0, lo, hi), shape))
+        lo = hi
+    return ad.lstm(*parts)
+
+
 class TestForwardValues:
     def test_sigmoid_tanh_at_zero(self):
         tape = t64()
@@ -45,6 +60,26 @@ class TestForwardValues:
         b = tape.leaf(np.array([[3.0, 4.0]]))
         cat = ad.concat([a, b], axis=1)
         assert np.array_equal(ad.slice_(cat, 1, 2, 4).data, b.data)
+
+
+    def test_lstm_matches_cell_equations(self):
+        # the fused op against the textbook cell, step by step from a zero
+        # state: same products in the same order, so equal bit for bit
+        from scipy.special import expit
+
+        rng = np.random.default_rng(8)
+        steps, rows, d, h = 4, 3, 5, 2
+        x, wx = rng.standard_normal((steps, rows, d)), rng.standard_normal((d, 4 * h))
+        wh, b = rng.standard_normal((h, 4 * h)), rng.standard_normal(4 * h)
+        tape = t64()
+        got = ad.lstm(tape.leaf(x), tape.leaf(wx), tape.leaf(wh), tape.leaf(b)).data
+        hid, cell = np.zeros((rows, h)), np.zeros((rows, h))
+        for t in range(steps):
+            pre = x[t] @ wx + b + hid @ wh
+            i, f, o = expit(pre[:, :h]), expit(pre[:, h : 2 * h]), expit(pre[:, 3 * h :])
+            cell = f * cell + i * np.tanh(pre[:, 2 * h : 3 * h])
+            hid = o * np.tanh(cell)
+            assert np.array_equal(got[t], hid)
 
 
 class TestBackwardValues:
@@ -140,6 +175,8 @@ class TestFiniteDifferenceOracles:
             ("recip", lambda tape, x: ad.recip(ad.add_scalar(x.square(), 1.0)).sum(), (5,)),
             ("reshape", lambda tape, x: ad.reshape(x, (3, 2)).tanh().sqnorm(), (6,)),
             ("mean", lambda tape, x: x.mean(), (4, 3)),
+            ("lstm", lambda tape, x: _packed_lstm(x, steps=3, rows=2, inputs=3, hidden=2).sqnorm(), (66,)),
+            ("matmul3d", lambda tape, x: ad.matmul(x, tape.constant(_W_3D)).tanh().sqnorm(), (3, 2, 4)),
         ],
     )
     def test_every_op_backward(self, name, f, shape):
@@ -192,6 +229,11 @@ class TestContracts:
             ad.add(a, b)
         with pytest.raises(ShapeMismatch):
             ad.matmul(a, a)
+        seq = tape.leaf(np.ones((4, 2, 3)))
+        with pytest.raises(ShapeMismatch):
+            ad.matmul(seq, a)
+        with pytest.raises(ShapeMismatch):
+            ad.lstm(seq, b, tape.leaf(np.ones((3, 12))), tape.leaf(np.ones(12)))
 
     def test_backward_requires_scalar(self):
         tape = t64()

@@ -123,11 +123,6 @@ class TestEvaluate:
         b = inference.evaluate(desk_params, tiny_corpus, [5.0, 10.0])
         assert a == b
 
-    def test_threaded_matches_serial(self, desk_params, tiny_corpus):
-        a = inference.evaluate(desk_params, tiny_corpus, [5.0], threads=1)
-        b = inference.evaluate(desk_params, tiny_corpus, [5.0], threads=2)
-        assert a == b
-
     def test_report_fields_and_roundtrip(self, desk_params, tiny_corpus, tmp_path):
         report = inference.evaluate(desk_params, tiny_corpus, [0.0, 10.0])
         assert len(report.per_utterance) == 2 * len(tiny_corpus)

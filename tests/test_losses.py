@@ -177,11 +177,8 @@ class TestGraphBuildersMatchNumpy:
         m, q, t, l = 3, 4, 2, 5
         features = rng.standard_normal((m, q, t, l))
         tape = ad.Tape(np.float64)
-        z_by_t = [
-            tape.constant(features[:, :, step, :].transpose(1, 0, 2).reshape(q * m, l))
-            for step in range(t)
-        ]
-        got = float(losses.equivalence_loss_graph(z_by_t, q, m).data)
+        z = tape.constant(features.transpose(2, 1, 0, 3).reshape(t, q * m, l))
+        got = float(losses.equivalence_loss_graph(z, q, m).data)
         assert got == pytest.approx(losses.equivalence_loss(features), rel=1e-12)
 
     def test_decoder_graph(self):
@@ -190,12 +187,9 @@ class TestGraphBuildersMatchNumpy:
         decoded = rng.standard_normal((m, q, t, n))
         targets = rng.standard_normal((m, t, n))
         tape = ad.Tape(np.float64)
-        dec_by_t = [
-            tape.constant(decoded[:, :, step, :].transpose(1, 0, 2).reshape(q * m, n))
-            for step in range(t)
-        ]
-        tgt_by_t = [tape.constant(targets[:, step, :]) for step in range(t)]
-        got = float(losses.decoder_loss_graph(dec_by_t, tgt_by_t, q, m).data)
+        dec = tape.constant(decoded.transpose(2, 1, 0, 3).reshape(t, q * m, n))
+        tgt = tape.constant(targets.transpose(1, 0, 2))
+        got = float(losses.decoder_loss_graph(dec, tgt, q).data)
         assert got == pytest.approx(losses.decoder_loss(decoded, targets), rel=1e-12)
 
     def test_mmd_graph(self):
@@ -218,8 +212,7 @@ class TestGraphBuildersMatchNumpy:
 
     def test_equivalence_graph_gradient(self):
         def f(tape, z):
-            z_t = ad.reshape(z, (6, 2))
-            return losses.equivalence_loss_graph([z_t], clones=3, items=2)
+            return losses.equivalence_loss_graph(ad.reshape(z, (1, 6, 2)), clones=3, items=2)
 
         rng = named_stream(15, "gg")
         assert ad.grad_check(f, rng.standard_normal(12), h=1e-5) <= 1e-7

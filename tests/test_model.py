@@ -6,7 +6,7 @@ import pytest
 
 from salient import autodiff as ad
 from salient import model
-from salient.errors import BadMagic, ShapeMismatch, TruncatedFile, VersionMismatch
+from salient.errors import BadMagic, CorruptFile, ShapeMismatch, TruncatedFile, VersionMismatch
 from salient.losses import LossWeights, laplace_prior_sample
 from salient.seeding import named_stream
 from salient.selfcheck import flat_composite_loss, flatten_params
@@ -65,8 +65,8 @@ class TestForward:
         frame = rng.standard_normal((1, tiny_model_config.input_dim)).astype(np.float32)
         tape = ad.Tape(np.float32)
         leaves = model.param_leaves(tape, p, requires_grad=False)
-        x = tape.constant(np.repeat(frame, 5, axis=0))
-        z = model.encoder_graph(leaves, tiny_model_config, [x])[0].data
+        x = tape.constant(np.repeat(frame, 5, axis=0)[None])
+        z = model.encoder_graph(leaves, tiny_model_config, x).data[0]
         assert all(np.array_equal(z[0], z[i]) for i in range(1, 5))
 
     def test_param_leaves_share_memory(self, tiny_model_config):
@@ -182,4 +182,20 @@ class TestCheckpoint:
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) - 7])
         with pytest.raises(TruncatedFile):
+            model.load_checkpoint(path)
+
+    @pytest.mark.parametrize("name", ["enc.head.b", "norm.mean", "norm.std"])
+    def test_duplicated_tensor_rejected(self, tiny_model_config, tmp_path, name):
+        p = model.init_params(tiny_model_config, seed=19)
+        path = tmp_path / "d.ckpt"
+        model.save_checkpoint(p, path)
+        raw = path.read_bytes()
+        # a tensor record is u32 name length, name, u32 rank, u32 dims, data
+        key = len(name).to_bytes(4, "little") + name.encode()
+        start = raw.index(key)
+        rank = int.from_bytes(raw[start + len(key) : start + len(key) + 4], "little")
+        dims = np.frombuffer(raw, dtype="<u4", count=rank, offset=start + len(key) + 4)
+        end = start + len(key) + 4 + 4 * rank + 4 * int(np.prod(dims))
+        path.write_bytes(raw + raw[start:end])
+        with pytest.raises(CorruptFile):
             model.load_checkpoint(path)

@@ -1,14 +1,18 @@
 """Training-step contracts: weight sharing, exact zero gradients, optimizer
 oracles, determinism, logging and best-checkpoint selection."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from salient import autodiff as ad
 from salient import model, training
 from salient.autodiff import Tape
 from salient.corpus import CloneBatch
-from salient.errors import InvalidRange
-from salient.losses import LossWeights
+from salient.errors import InvalidRange, NonFiniteLoss
+from salient.losses import LossBreakdown, LossWeights
 from salient.seeding import named_stream
 
 
@@ -65,6 +69,36 @@ class TestTrainStep:
         leaves, _ = training.build_step_graph(tape, params, batch, prior, LossWeights())
         assert set(leaves) == set(params.tensors)
         assert all(leaves[k].data is params.tensors[k] for k in leaves)
+
+    def test_step_tape_length_independent_of_frames_and_clones(self, tiny_model_config):
+        # the LSTM recurrence and the losses are whole-sequence ops, so the
+        # graph does not grow with the segment length or the clone count
+        def tape_len(q, t):
+            params = model.init_params(tiny_model_config, seed=4)
+            tape = Tape(np.float32)
+            prior = np.zeros((2 * t, tiny_model_config.feature_dim))
+            training.build_step_graph(tape, params, synthetic_batch(tiny_model_config, q=q, t=t), prior, LossWeights())
+            return len(tape)
+
+        assert tape_len(3, 2) == tape_len(3, 6)
+        assert tape_len(2, 6) == tape_len(4, 6)
+
+    def test_step_tape_freed_without_cycle_collector(self, tiny_model_config):
+        # backward closures hold indices and arrays, never a Tensor (which
+        # points back to its tape), so dropping the references frees the
+        # tape by reference counting alone
+        params = model.init_params(tiny_model_config, seed=4)
+        prior = np.zeros((12, tiny_model_config.feature_dim))
+        gc.disable()
+        try:
+            tape = Tape(np.float32)
+            leaves, terms = training.build_step_graph(tape, params, synthetic_batch(tiny_model_config), prior, LossWeights())
+            grads = ad.backward(terms[-1])
+            ref = weakref.ref(tape)
+            del tape, leaves, terms, grads
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_accounting_identity(self, tiny_model_config):
         params = model.init_params(tiny_model_config, seed=5)
@@ -140,6 +174,42 @@ class TestTrainLoop:
         text = result.log_path.read_text().splitlines()
         assert text[0] == "step,d_e,d_mmd,d_d,d_global,wall_ms"
         assert len(text) == 7
+
+    def test_log_streams_rows_until_a_crash(self, tiny_corpus, quick_cfg, monkeypatch):
+        cfg = model.EncoderConfig(lstm_layers=1, fc_layers=1, hidden=8, feature_dim=3, input_dim=240)
+        apply_step = training._apply_step
+        calls = []
+
+        def fail_from_step_3(*args, **kwargs):
+            calls.append(None)
+            if len(calls) >= 3:
+                raise NonFiniteLoss("injected")
+            return apply_step(*args, **kwargs)
+
+        monkeypatch.setattr(training, "_apply_step", fail_from_step_3)
+        tc = quick_cfg()
+        with pytest.raises(NonFiniteLoss):
+            training.train(tiny_corpus, cfg, tc)
+        lines = (tc.checkpoint_dir / "train_log.csv").read_text().splitlines()
+        assert lines[0] == "step,d_e,d_mmd,d_d,d_global,wall_ms"
+        assert [line.split(",")[0] for line in lines[1:]] == ["1", "2"]
+
+    def test_best_is_smallest_smoothed_earliest_on_tie(self, tiny_corpus, quick_cfg, monkeypatch):
+        # scripted losses tie the two windows (steps 1-3 and 4-6) at 2.0
+        cfg = model.EncoderConfig(lstm_layers=1, fc_layers=1, hidden=8, feature_dim=3, input_dim=240)
+        apply_step = training._apply_step
+        scripted = iter([3.0, 1.0, 2.0, 2.0, 2.0, 2.0])
+
+        def scripted_step(*args, **kwargs):
+            apply_step(*args, **kwargs)
+            return LossBreakdown(d_e=0.0, d_mmd=0.0, d_d=0.0, d_global=next(scripted))
+
+        monkeypatch.setattr(training, "_apply_step", scripted_step)
+        result = training.train(tiny_corpus, cfg, quick_cfg())
+        assert (result.best_step, result.best_smoothed) == (3, 2.0)
+        monkeypatch.undo()
+        three = training.train(tiny_corpus, cfg, quick_cfg(steps=3, checkpoint_dir=result.log_path.parent / "three"))
+        assert result.best_path.read_bytes() == three.final_path.read_bytes()
 
     def test_accounting_identity_in_log(self, tiny_corpus, quick_cfg):
         cfg = model.EncoderConfig(lstm_layers=1, fc_layers=1, hidden=8, feature_dim=3, input_dim=240)
