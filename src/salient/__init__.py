@@ -2,12 +2,10 @@
 
 from .audio import (
     AudioBuffer,
-    DualWindowFrame,
-    FrameSequence,
     MelFilterbank,
     build_mel_filterbank,
     dual_window_frame,
-    frame_utterance,
+    frame_matrix,
     load_wav,
     save_wav,
 )

@@ -85,28 +85,6 @@ class MelFilterbank:
         return self.weights.shape[0]
 
 
-@dataclass(frozen=True)
-class DualWindowFrame:
-    """One 240-bin log-mel frame (40 ms block, then the two 20 ms blocks)."""
-
-    bins: np.ndarray
-    frame_index: int
-    hop_ms: int = 20
-
-
-@dataclass(frozen=True)
-class FrameSequence:
-    frames: tuple
-    source_id: str = ""
-
-    def __len__(self) -> int:
-        return len(self.frames)
-
-    def matrix(self) -> np.ndarray:
-        """Frames stacked as a (T, 240) array."""
-        return np.stack([f.bins for f in self.frames], axis=0)
-
-
 # ---------------------------------------------------------------------------
 # WAV I/O (RIFF/WAVE, mono, 16 kHz; PCM16 or float32 in, PCM16 out)
 # ---------------------------------------------------------------------------
@@ -203,31 +181,48 @@ def default_filterbank() -> MelFilterbank:
 # ---------------------------------------------------------------------------
 
 def _logmel_rows(segments: np.ndarray, window: np.ndarray, fb: MelFilterbank, floor: float) -> np.ndarray:
-    """(T, 80) log-mel rows for (T, win) signal segments.
+    """(..., 80) log-mel rows for (..., win) signal segments.
 
     The FFT runs batched (bit-identical to one call per row); the mel
-    projection stays per-row so that single-frame and whole-utterance paths
-    use the exact same BLAS call and agree bitwise.
+    projection stays per-row so that a row's bits do not depend on how many
+    rows are framed together.
     """
-    spectrum = np.fft.rfft(segments * window, n=fb.n_fft, axis=1)
+    spectrum = np.fft.rfft(segments * window, n=fb.n_fft, axis=-1)
     power = spectrum.real**2 + spectrum.imag**2
-    return np.log(np.stack([fb.weights @ p for p in power]) + floor)
+    mel = np.stack([fb.weights @ p for p in power.reshape(-1, power.shape[-1])])
+    return np.log(mel.reshape(power.shape[:-1] + (fb.n_mels,)) + floor)
 
 
-def _frame_rows(x: np.ndarray, fb: MelFilterbank, floor: float) -> np.ndarray:
-    """(T, 240) dual-window frames of a float64 signal at starts 0, 320, ..."""
-    n = frame_count(len(x))
-    idx = np.arange(n)[:, None] * HOP_SAMPLES
-    full = x[idx + np.arange(FRAME_SAMPLES)]
-    sub1 = x[idx + SUB_OFFSETS[0] + np.arange(SUB_SAMPLES)]
-    sub2 = x[idx + SUB_OFFSETS[1] + np.arange(SUB_SAMPLES)]
+def _frame_grid(n_frames: int) -> np.ndarray:
+    """(n_frames, 640) sample indices of the 40 ms frames at starts 0, 320, ..."""
+    return np.arange(n_frames)[:, None] * HOP_SAMPLES + np.arange(FRAME_SAMPLES)
+
+
+def frame_count(n_samples: int) -> int:
+    return (n_samples - FRAME_SAMPLES) // HOP_SAMPLES + 1
+
+
+def frame_matrix(signal, fb: MelFilterbank = None, floor: float = LOG_FLOOR) -> np.ndarray:
+    """All 50%-overlapped dual-window frames (start samples 0, 320, ...):
+    the 40 ms window, then its two 20 ms sub-windows.
+
+    `signal` is an AudioBuffer or a float array whose last axis is samples;
+    the result is (..., T, 240), and each signal's rows are bitwise the ones
+    it gets when framed alone.
+    """
+    fb = fb or default_filterbank()
+    x = signal.samples if isinstance(signal, AudioBuffer) else np.asarray(signal)
+    if x.shape[-1] < FRAME_SAMPLES:
+        raise TooShort(f"need at least {FRAME_SAMPLES} samples, got {x.shape[-1]}")
+    full = x.astype(np.float64)[..., _frame_grid(frame_count(x.shape[-1]))]
+    sub1, sub2 = (full[..., k : k + SUB_SAMPLES] for k in SUB_OFFSETS)
     return np.concatenate(
         [
             _logmel_rows(full, _WIN_FULL, fb, floor),
             _logmel_rows(sub1, _WIN_SUB, fb, floor),
             _logmel_rows(sub2, _WIN_SUB, fb, floor),
         ],
-        axis=1,
+        axis=-1,
     )
 
 
@@ -236,42 +231,9 @@ def dual_window_frame(
     frame_start_sample: int,
     fb: MelFilterbank = None,
     floor: float = LOG_FLOOR,
-) -> DualWindowFrame:
-    """240-bin log-mel frame for the 40 ms window starting at the given sample."""
-    fb = fb or default_filterbank()
+) -> np.ndarray:
+    """(240,) log-mel frame for the 40 ms window starting at the given sample."""
     t = int(frame_start_sample)
     if t < 0 or t + FRAME_SAMPLES > len(audio):
         raise OutOfBounds(f"frame [{t}, {t + FRAME_SAMPLES}) outside audio of length {len(audio)}")
-    x = audio.samples[t : t + FRAME_SAMPLES].astype(np.float64)
-    bins = np.concatenate(
-        [
-            _logmel_rows(x[None, :], _WIN_FULL, fb, floor)[0],
-            _logmel_rows(x[None, SUB_OFFSETS[0] : SUB_OFFSETS[0] + SUB_SAMPLES], _WIN_SUB, fb, floor)[0],
-            _logmel_rows(x[None, SUB_OFFSETS[1] : SUB_OFFSETS[1] + SUB_SAMPLES], _WIN_SUB, fb, floor)[0],
-        ]
-    )
-    return DualWindowFrame(bins=bins, frame_index=t // HOP_SAMPLES)
-
-
-def frame_count(n_samples: int) -> int:
-    return (n_samples - FRAME_SAMPLES) // HOP_SAMPLES + 1
-
-
-def frame_utterance(
-    audio: AudioBuffer,
-    fb: MelFilterbank = None,
-    floor: float = LOG_FLOOR,
-    source_id: str = "",
-) -> FrameSequence:
-    """All 50%-overlapped frames of an utterance (start samples 0, 320, ...)."""
-    rows = frame_matrix(audio, fb, floor)
-    frames = tuple(DualWindowFrame(bins=rows[i], frame_index=i) for i in range(rows.shape[0]))
-    return FrameSequence(frames=frames, source_id=source_id)
-
-
-def frame_matrix(audio: AudioBuffer, fb: MelFilterbank = None, floor: float = LOG_FLOOR) -> np.ndarray:
-    """frame_utterance, returned directly as a (T, 240) array."""
-    fb = fb or default_filterbank()
-    if len(audio) < FRAME_SAMPLES:
-        raise TooShort(f"need at least {FRAME_SAMPLES} samples, got {len(audio)}")
-    return _frame_rows(audio.samples.astype(np.float64), fb, floor)
+    return frame_matrix(audio.samples[t : t + FRAME_SAMPLES], fb, floor)[0]

@@ -61,7 +61,8 @@ _PRESET_TRAINER = {
 }
 
 
-def _read_config_file(path: Path) -> dict:
+def _read_config_file(path: Path, defaults: dict) -> dict:
+    """key=value lines, each value converted to the type of its default."""
     values = {}
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -73,7 +74,12 @@ def _read_config_file(path: Path) -> dict:
         key = key.strip()
         if key not in _TRAIN_KEYS:
             raise SalientError(f"{path}: line {lineno}: unknown key {key!r}")
-        values[key] = val.strip()
+        val = val.strip()
+        kind = type(defaults[key])
+        try:
+            values[key] = val if kind is str else kind(float(val)) if kind is int else kind(val)
+        except (ValueError, OverflowError) as exc:
+            raise SalientError(f"{path}: line {lineno}: {key} = {val!r} is not a number") from exc
     return values
 
 
@@ -87,10 +93,7 @@ def resolve_train_settings(args) -> tuple:
     resolved = {key: fields[key] for key in _TRAIN_KEYS}
     resolved.update(_PRESET_TRAINER[args.preset])
     if args.config:
-        raw = _read_config_file(Path(args.config))
-        for key, val in raw.items():
-            kind = type(resolved[key])
-            resolved[key] = val if kind is str else kind(float(val)) if kind is int else kind(val)
+        resolved.update(_read_config_file(Path(args.config), resolved))
     for key in _TRAIN_KEYS:
         flag = getattr(args, key, None)
         if flag is not None:

@@ -195,13 +195,17 @@ def build_clone_batch(
             )
         n_starts = (len(clean) - SEGMENT_SAMPLES) // audio.HOP_SAMPLES + 1
         start = audio.HOP_SAMPLES * int(item_rng.integers(0, n_starts))
-        seg = clean[start : start + SEGMENT_SAMPLES].astype(np.float64)
+        seg = clean[start : start + SEGMENT_SAMPLES]
 
-        targets[i] = audio.frame_matrix(AudioBuffer(seg.astype(np.float32)), fb)
+        # row 0 is the clean segment, rows 1..Q its mixtures: one framing call
+        signals = np.empty((clones + 1, SEGMENT_SAMPLES), dtype=np.float32)
+        signals[0] = seg
         for q in range(clones):
             snr_q = entry.snr_db + float(item_rng.uniform(0.0, snr_jitter_db))
-            noisy = _mix_entry_segment(seg, entry, item_rng, snr_db=snr_q)
-            inputs[i, q] = audio.frame_matrix(noisy, fb)
+            signals[q + 1] = _mix_entry_segment(seg, entry, item_rng, snr_db=snr_q).samples
+        framed = audio.frame_matrix(signals, fb)
+        targets[i] = framed[0]
+        inputs[i] = framed[1:]
         meta.append((entry.utterance_id, start))
     return CloneBatch(clone_inputs=inputs, clean_targets=targets, meta=tuple(meta))
 

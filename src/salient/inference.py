@@ -26,7 +26,6 @@ from .errors import (
     InvalidIterations,
     ManifestEmpty,
     ShapeMismatch,
-    TooShort,
     TruncatedFile,
     VersionMismatch,
 )
@@ -64,8 +63,6 @@ class EvalReport:
 def extract_features(params: ModelParams, buf: AudioBuffer) -> FeatureTrack:
     """Frame the utterance, normalize, and encode the whole track in one
     causal pass from a zero initial state."""
-    if len(buf) < audio.FRAME_SAMPLES:
-        raise TooShort(f"need at least {audio.FRAME_SAMPLES} samples, got {len(buf)}")
     frames = normalize(params, audio.frame_matrix(buf))
     feats = encode_sequence(params, frames)
     return FeatureTrack(features=feats, checkpoint_id=params_digest(params))
@@ -86,11 +83,17 @@ def reconstruct_mel(params: ModelParams, track: FeatureTrack) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _stft_mag_phase(x: np.ndarray, n_frames: int, n_fft: int):
-    win = audio._WIN_FULL
-    frames = np.stack(
-        [x[t * audio.HOP_SAMPLES : t * audio.HOP_SAMPLES + audio.FRAME_SAMPLES] * win for t in range(n_frames)]
-    )
-    return np.fft.rfft(frames, n=n_fft, axis=1)
+    return np.fft.rfft(x[audio._frame_grid(n_frames)] * audio._WIN_FULL, n=n_fft, axis=1)
+
+
+def _overlap_add(frames: np.ndarray) -> np.ndarray:
+    """Sum (T, 640) frames at hop 320: output block t (320 samples) gets
+    the second half of frame t-1 and the first half of frame t."""
+    halves = frames.reshape(frames.shape[:-1] + (2, audio.HOP_SAMPLES))
+    out = np.zeros((halves.shape[0] + 1, audio.HOP_SAMPLES), dtype=np.float64)
+    out[1:] += halves[:, 1]
+    out[:-1] += halves[:, 0]
+    return out.reshape(-1)
 
 
 def _istft(spec: np.ndarray, n_fft: int) -> np.ndarray:
@@ -99,16 +102,9 @@ def _istft(spec: np.ndarray, n_fft: int) -> np.ndarray:
     # support vanishes, and dividing unconstrained inverse-FFT content there
     # by ~0 would blast a spike into the signal edge.
     win = audio._WIN_FULL
-    n_frames = spec.shape[0]
-    length = (n_frames - 1) * audio.HOP_SAMPLES + audio.FRAME_SAMPLES
     y = np.fft.irfft(spec, n=n_fft, axis=1)[:, : audio.FRAME_SAMPLES]
-    out = np.zeros(length, dtype=np.float64)
-    wsum = np.zeros(length, dtype=np.float64)
-    for t in range(n_frames):
-        lo = t * audio.HOP_SAMPLES
-        out[lo : lo + audio.FRAME_SAMPLES] += y[t] * win
-        wsum[lo : lo + audio.FRAME_SAMPLES] += win * win
-    return out / np.maximum(wsum, 0.25)
+    wsum = _overlap_add(np.broadcast_to(win * win, y.shape))
+    return _overlap_add(y * win) / np.maximum(wsum, 0.25)
 
 
 def spectral_residual(x: np.ndarray, target_mag: np.ndarray, n_fft: int = audio.N_FFT) -> float:

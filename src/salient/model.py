@@ -236,6 +236,13 @@ def _read_exact(fh, n: int, what: str) -> bytes:
     return data
 
 
+def _read_text(fh, n: int, what: str, path) -> str:
+    try:
+        return _read_exact(fh, n, what).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorruptFile(f"{path}: {what} is not UTF-8 text") from exc
+
+
 def load_checkpoint(path) -> ModelParams:
     with open(path, "rb") as fh:
         if _read_exact(fh, 4, "magic") != CHECKPOINT_MAGIC:
@@ -244,12 +251,15 @@ def load_checkpoint(path) -> ModelParams:
         if version != CHECKPOINT_VERSION:
             raise VersionMismatch(f"{path}: format version {version}, expected {CHECKPOINT_VERSION}")
         (cfg_len,) = struct.unpack("<I", _read_exact(fh, 4, "config length"))
-        cfg_text = _read_exact(fh, cfg_len, "config block").decode("utf-8")
+        cfg_text = _read_text(fh, cfg_len, "config block", path)
         fields = {}
         for line in cfg_text.splitlines():
             if line.strip():
                 k, _, v = line.partition("=")
-                fields[k.strip()] = int(v)
+                try:
+                    fields[k.strip()] = int(v)
+                except ValueError as exc:
+                    raise CorruptFile(f"{path}: config value {line.strip()!r} is not an integer") from exc
         missing = [k for k in _CONFIG_KEYS if k not in fields]
         if missing:
             raise VersionMismatch(f"{path}: config block missing {missing}")
@@ -263,7 +273,7 @@ def load_checkpoint(path) -> ModelParams:
             if len(head) != 4:
                 raise TruncatedFile("checkpoint ended inside a tensor header")
             (name_len,) = struct.unpack("<I", head)
-            name = _read_exact(fh, name_len, "tensor name").decode("utf-8")
+            name = _read_text(fh, name_len, "tensor name", path)
             (rank,) = struct.unpack("<I", _read_exact(fh, 4, f"{name} rank"))
             dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, f"{name} dims"))
             raw = _read_exact(fh, 4 * int(np.prod(dims)), f"{name} data")

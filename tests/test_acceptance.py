@@ -183,14 +183,14 @@ class TestDspExactness:
         mix = corpus.mix_at_snr(clean, noise, 12.5, rng)
         snr_err = abs(corpus.measured_snr_db(mix, clean) - 12.5)
 
-        n_frames = len(audio.frame_utterance(audio.AudioBuffer(np.zeros(16000, dtype=np.float32))))
+        n_frames = audio.frame_matrix(audio.AudioBuffer(np.zeros(16000, dtype=np.float32))).shape[0]
 
         fb = audio.default_filterbank()
         t = np.arange(16000) / audio.SAMPLE_RATE
         sine = audio.AudioBuffer(np.sin(2 * np.pi * 1000.0 * t).astype(np.float32))
         frame = audio.dual_window_frame(sine, 0, fb)
         nearest = int(np.argmin(np.abs(fb.center_hz - 1000.0)))
-        argmax_ok = all(int(np.argmax(frame.bins[80 * b : 80 * (b + 1)])) == nearest for b in range(3))
+        argmax_ok = all(int(np.argmax(frame[80 * b : 80 * (b + 1)])) == nearest for b in range(3))
 
         pinv = np.linalg.pinv(fb.weights)
         pinv_err = float(np.max(np.abs(fb.weights @ pinv @ fb.weights - fb.weights)))
@@ -233,6 +233,7 @@ def desk_run(tmp_path_factory):
     }
 
 
+@pytest.mark.slow
 class TestDeskTraining:
     def test_desk_training_loss_halves(self, desk_run):
         rec = desk_run["result"].records

@@ -125,8 +125,8 @@ class TestDualWindowFrame:
     def test_all_zero_audio_hits_floor(self, fb):
         buf = audio.AudioBuffer(np.zeros(640, dtype=np.float32))
         frame = audio.dual_window_frame(buf, 0, fb, floor=1e-5)
-        assert frame.bins.shape == (240,)
-        assert np.allclose(frame.bins, np.log(1e-5))
+        assert frame.shape == (240,)
+        assert np.allclose(frame, np.log(1e-5))
 
     def test_floor_is_lower_bound(self, fb):
         buf = make_sine(440.0, seconds=0.2)
@@ -138,7 +138,7 @@ class TestDualWindowFrame:
         frame = audio.dual_window_frame(buf, 0, fb)
         nearest = int(np.argmin(np.abs(fb.center_hz - 1000.0)))
         for block in range(3):
-            bins = frame.bins[80 * block : 80 * (block + 1)]
+            bins = frame[80 * block : 80 * (block + 1)]
             assert int(np.argmax(bins)) == nearest
 
     def test_doubling_amplitude_adds_log4(self, fb):
@@ -146,9 +146,9 @@ class TestDualWindowFrame:
         loud = audio.AudioBuffer(2.0 * quiet.samples)
         f_quiet = audio.dual_window_frame(quiet, 0, fb)
         f_loud = audio.dual_window_frame(loud, 0, fb)
-        strong = f_quiet.bins > np.log(audio.LOG_FLOOR) + 8.0  # energy >> floor
+        strong = f_quiet > np.log(audio.LOG_FLOOR) + 8.0  # energy >> floor
         assert strong.any()
-        diff = f_loud.bins[strong] - f_quiet.bins[strong]
+        diff = f_loud[strong] - f_quiet[strong]
         assert np.allclose(diff, np.log(4.0), atol=1e-3)
 
     def test_out_of_bounds(self, fb):
@@ -163,16 +163,11 @@ class TestFraming:
     @pytest.mark.parametrize("n,expected", [(640, 1), (960, 2), (16000, 49)])
     def test_frame_counts(self, n, expected, fb):
         buf = audio.AudioBuffer(np.zeros(n, dtype=np.float32))
-        assert len(audio.frame_utterance(buf, fb)) == expected
+        assert audio.frame_matrix(buf, fb).shape[0] == expected
 
     def test_too_short(self, fb):
         with pytest.raises(TooShort):
-            audio.frame_utterance(audio.AudioBuffer(np.zeros(639, dtype=np.float32)), fb)
-
-    def test_frame_indices_increase(self, fb):
-        buf = make_sine(300.0, seconds=0.5)
-        seq = audio.frame_utterance(buf, fb)
-        assert [f.frame_index for f in seq.frames] == list(range(len(seq)))
+            audio.frame_matrix(audio.AudioBuffer(np.zeros(639, dtype=np.float32)), fb)
 
     def test_matches_single_frame_op_bitwise(self, fb):
         rng = np.random.default_rng(7)
@@ -180,7 +175,18 @@ class TestFraming:
         mat = audio.frame_matrix(buf, fb)
         for i in range(mat.shape[0]):
             single = audio.dual_window_frame(buf, i * audio.HOP_SAMPLES, fb)
-            assert np.array_equal(mat[i], single.bins)
+            assert np.array_equal(mat[i], single)
+
+    @pytest.mark.parametrize("k,n", [(1, 2240), (3, 2240), (9, 2240), (4, 640)])
+    def test_stacked_rows_match_framing_alone_bitwise(self, fb, k, n):
+        rng = np.random.default_rng(10)
+        signals = rng.uniform(-0.9, 0.9, (k, n)).astype(np.float32)
+        stacked = audio.frame_matrix(signals, fb)
+        assert stacked.shape == (k, audio.frame_count(n), audio.FRAME_BINS)
+        for row, x in zip(stacked, signals):
+            assert np.array_equal(row, audio.frame_matrix(audio.AudioBuffer(x), fb))
+            if n == audio.FRAME_SAMPLES:
+                assert np.array_equal(row[0], audio.dual_window_frame(audio.AudioBuffer(x), 0, fb))
 
     def test_shift_covariance_bitwise(self, fb):
         rng = np.random.default_rng(8)

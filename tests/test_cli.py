@@ -110,6 +110,17 @@ class TestTrainCmd:
         ])
         assert code == 1
 
+    def test_non_numeric_config_value_fails(self, tmp_path, cli_corpus, capsys):
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text("seed = 1\nsteps=abc\n")
+        code = run([
+            "train", "--manifest", str(cli_corpus / "manifest.jsonl"),
+            "--out", str(tmp_path / "o"), "--config", str(cfg),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "line 2" in err and "steps" in err
+
     def test_resolved_config_echoed(self, tmp_path, cli_corpus, capsys):
         run([
             "train", "--manifest", str(cli_corpus / "manifest.jsonl"), "--out", str(tmp_path / "e"),

@@ -96,6 +96,25 @@ class TestGriffinLim:
 
         assert residual(60) < residual(1)
 
+    def test_istft_inverts_stft_away_from_the_edges(self, fb):
+        x = named_stream(23, "stft").uniform(-0.9, 0.9, 16000)
+        spec = inference._stft_mag_phase(x, audio.frame_count(len(x)), fb.n_fft)
+        y = inference._istft(spec, fb.n_fft)
+        assert y.shape == x.shape
+        hop = audio.HOP_SAMPLES
+        assert np.max(np.abs(y[hop:-hop] - x[hop:-hop])) <= 1e-12
+
+    def test_istft_matches_frame_by_frame_overlap_add(self, fb):
+        spec = np.fft.rfft(named_stream(24, "istft").standard_normal((7, audio.FRAME_SAMPLES)), n=fb.n_fft)
+        win, hop, width = audio._WIN_FULL, audio.HOP_SAMPLES, audio.FRAME_SAMPLES
+        y = np.fft.irfft(spec, n=fb.n_fft, axis=1)[:, :width]
+        out = np.zeros(6 * hop + width)
+        wsum = np.zeros(6 * hop + width)
+        for t in range(7):
+            out[t * hop : t * hop + width] += y[t] * win
+            wsum[t * hop : t * hop + width] += win * win
+        assert inference._istft(spec, fb.n_fft).tobytes() == (out / np.maximum(wsum, 0.25)).tobytes()
+
     def test_invalid_iterations(self, fb):
         with pytest.raises(InvalidIterations):
             inference.griffin_lim(np.zeros((5, 80)), fb, iterations=0)

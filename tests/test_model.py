@@ -199,3 +199,25 @@ class TestCheckpoint:
         path.write_bytes(raw + raw[start:end])
         with pytest.raises(CorruptFile):
             model.load_checkpoint(path)
+
+    def test_non_integer_config_value_rejected(self, tiny_model_config, tmp_path):
+        path = tmp_path / "c.ckpt"
+        model.save_checkpoint(model.init_params(tiny_model_config, seed=20), path)
+        raw = path.read_bytes()
+        # same length, so the config block's length field stays valid
+        key = f"hidden={tiny_model_config.hidden}\n".encode()
+        assert len(key) == len(b"hidden=6x\n")
+        path.write_bytes(raw.replace(key, b"hidden=6x\n", 1))
+        with pytest.raises(CorruptFile):
+            model.load_checkpoint(path)
+
+    @pytest.mark.parametrize("text", [b"hidden=", b"enc.head.b"])
+    def test_non_utf8_text_rejected(self, tiny_model_config, tmp_path, text):
+        path = tmp_path / "u.ckpt"
+        model.save_checkpoint(model.init_params(tiny_model_config, seed=21), path)
+        raw = bytearray(path.read_bytes())
+        at = raw.index(text)
+        raw[at] = 0xFF  # never valid in UTF-8
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CorruptFile):
+            model.load_checkpoint(path)
