@@ -48,6 +48,6 @@ from .model import (
     load_checkpoint,
     save_checkpoint,
 )
-from .training import TrainConfig, TrainResult, train, train_step
+from .training import TrainConfig, TrainResult, train
 
 __version__ = "0.1.0"

@@ -7,7 +7,7 @@ same inputs yields bit-identical gradients.
 
 Training runs in float32; construct a Tape with dtype=np.float64 for
 verification work (finite-difference checks need the headroom). Non-finite
-values raise immediately unless check_finite is turned off.
+values raise immediately.
 """
 
 from __future__ import annotations
@@ -47,32 +47,6 @@ class Tensor:
     @property
     def T(self) -> "Tensor":
         return transpose(self)
-
-    # -- arithmetic sugar -------------------------------------------------
-    def __add__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, other)
-        return add_scalar(self, float(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Tensor):
-            return sub(self, other)
-        return add_scalar(self, -float(other))
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     # -- unary ops --------------------------------------------------------
     def sigmoid(self) -> "Tensor":
@@ -135,9 +109,8 @@ class Tensor:
 class Tape:
     """Single-threaded op recorder. One tape per forward/backward pass."""
 
-    def __init__(self, dtype=np.float32, check_finite: bool = True):
+    def __init__(self, dtype=np.float32):
         self.dtype = np.dtype(dtype)
-        self.check_finite = check_finite
         self._ops: list[tuple[str, tuple[int, ...], Callable | None]] = []
         self._needs: list[bool] = []
 
@@ -148,7 +121,7 @@ class Tape:
         """Register an input. No copy is made when dtype already matches,
         so parameter arrays are shared, not forked."""
         arr = np.asarray(data, dtype=self.dtype)
-        if self.check_finite and not np.all(np.isfinite(arr)):
+        if not np.all(np.isfinite(arr)):
             raise NonFiniteValue("non-finite leaf value")
         self._ops.append(("leaf", (), None))
         self._needs.append(bool(requires_grad))
@@ -159,7 +132,7 @@ class Tape:
 
     def _record(self, data, name, inputs: tuple, bwd) -> Tensor:
         data = np.asarray(data, dtype=self.dtype)
-        if self.check_finite and not np.all(np.isfinite(data)):
+        if not np.all(np.isfinite(data)):
             raise NonFiniteValue(f"non-finite value produced by op '{name}'")
         needs = any(self._needs[i] for i in inputs)
         self._ops.append((name, inputs, bwd if needs else None))

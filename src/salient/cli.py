@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import audio, corpus, inference, model, training
@@ -47,10 +47,13 @@ def cmd_corpus(args) -> int:
     return 0
 
 
-_TRAIN_KEYS = (
-    "steps", "batch_size", "clones", "optimizer", "learning_rate", "eval_every",
-    "seed", "lambda_mmd", "lambda_d", "kernel_scale", "grad_clip", "snr_jitter_db",
-)
+# every TrainConfig and LossWeights value is both a `salient train` flag and
+# a config-file key; the output directory comes from --out
+_WEIGHT_KEYS = tuple(f.name for f in fields(LossWeights))
+_TRAIN_KEYS = tuple(
+    f.name for f in fields(training.TrainConfig) if f.name not in ("weights", "checkpoint_dir")
+) + _WEIGHT_KEYS
+_TRAIN_HELP = {"snr_jitter_db": "per-clone SNR spread above the entry SNR"}
 
 # trainer-side defaults per model preset: desk runs small batches, the
 # paper-scale presets keep the full clone count
@@ -62,7 +65,8 @@ _PRESET_TRAINER = {
 
 
 def _read_config_file(path: Path, defaults: dict) -> dict:
-    """key=value lines, each value converted to the type of its default."""
+    """key=value lines, each value converted to the type of its default; an
+    integer key takes only integral values."""
     values = {}
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -75,22 +79,29 @@ def _read_config_file(path: Path, defaults: dict) -> dict:
         if key not in _TRAIN_KEYS:
             raise SalientError(f"{path}: line {lineno}: unknown key {key!r}")
         val = val.strip()
-        kind = type(defaults[key])
         try:
-            values[key] = val if kind is str else kind(float(val)) if kind is int else kind(val)
-        except (ValueError, OverflowError) as exc:
+            number = float(val)
+        except ValueError as exc:
             raise SalientError(f"{path}: line {lineno}: {key} = {val!r} is not a number") from exc
+        kind = type(defaults[key])
+        if kind is int and not number.is_integer():
+            raise SalientError(f"{path}: line {lineno}: {key} = {val!r} is not an integer")
+        values[key] = kind(number)
     return values
 
 
+def _train_defaults() -> dict:
+    """TrainConfig and LossWeights defaults by key, with a 2000-step budget."""
+    config = training.TrainConfig(steps=2000)
+    merged = {**asdict(config.weights), **asdict(config)}
+    return {key: merged[key] for key in _TRAIN_KEYS}
+
+
 def resolve_train_settings(args) -> tuple:
-    """Merge defaults (TrainConfig and LossWeights, with a 2000-step budget),
-    preset, config file and CLI flags (flags win).
-    Returns (EncoderConfig, TrainConfig-kwargs dict)."""
+    """Merge defaults (`_train_defaults`), preset, config file and CLI flags
+    (flags win). Returns (EncoderConfig, dict of every _TRAIN_KEYS value)."""
     model_cfg = model.PRESETS[args.preset]
-    defaults = training.TrainConfig(steps=2000)
-    fields = {**asdict(defaults.weights), **asdict(defaults)}
-    resolved = {key: fields[key] for key in _TRAIN_KEYS}
+    resolved = _train_defaults()
     resolved.update(_PRESET_TRAINER[args.preset])
     if args.config:
         resolved.update(_read_config_file(Path(args.config), resolved))
@@ -111,24 +122,9 @@ def cmd_train(args) -> int:
     })
     _print_config("train", echo)
 
+    weights = LossWeights(**{key: resolved.pop(key) for key in _WEIGHT_KEYS})
+    train_cfg = training.TrainConfig(**resolved, weights=weights, checkpoint_dir=args.out)
     manifest = corpus.load_manifest(args.manifest)
-    train_cfg = training.TrainConfig(
-        steps=int(resolved["steps"]),
-        batch_size=int(resolved["batch_size"]),
-        clones=int(resolved["clones"]),
-        optimizer=str(resolved["optimizer"]),
-        learning_rate=float(resolved["learning_rate"]),
-        weights=LossWeights(
-            lambda_mmd=float(resolved["lambda_mmd"]),
-            lambda_d=float(resolved["lambda_d"]),
-            kernel_scale=float(resolved["kernel_scale"]),
-        ),
-        seed=int(resolved["seed"]),
-        eval_every=int(resolved["eval_every"]),
-        checkpoint_dir=args.out,
-        grad_clip=float(resolved["grad_clip"]),
-        snr_jitter_db=float(resolved["snr_jitter_db"]),
-    )
     result = training.train(manifest, model_cfg, train_cfg)
     print(f"[train] best step {result.best_step} (smoothed loss {result.best_smoothed:.6g})")
     print(f"[train] checkpoints: {result.init_path}, {result.best_path}, {result.final_path}")
@@ -227,19 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="checkpoint directory")
     p.add_argument("--preset", choices=sorted(model.PRESETS), default="desk")
     p.add_argument("--config", help="key=value config file; CLI flags override it")
-    p.add_argument("--steps", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--clones", type=int)
-    p.add_argument("--optimizer", choices=("adam", "sgd"))
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--eval-every", dest="eval_every", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--lambda-mmd", dest="lambda_mmd", type=float)
-    p.add_argument("--lambda-d", dest="lambda_d", type=float)
-    p.add_argument("--kernel-scale", dest="kernel_scale", type=float)
-    p.add_argument("--grad-clip", dest="grad_clip", type=float)
-    p.add_argument("--snr-jitter-db", dest="snr_jitter_db", type=float,
-                   help="per-clone SNR spread above the entry SNR")
+    for key, default in _train_defaults().items():
+        p.add_argument("--" + key.replace("_", "-"), type=type(default), help=_TRAIN_HELP.get(key))
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("extract", help="extract a feature track from a WAV")

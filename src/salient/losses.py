@@ -36,8 +36,8 @@ class LossWeights:
     kernel_scale: float = 1.0
 
     def __post_init__(self):
-        if self.lambda_mmd < 0 or self.lambda_d < 0 or self.kernel_scale < 0:
-            raise InvalidRange("loss weights must be non-negative")
+        if not (0.0 <= self.lambda_mmd < np.inf and 0.0 <= self.lambda_d < np.inf and 0.0 < self.kernel_scale < np.inf):
+            raise InvalidRange(f"loss weights must be finite and >= 0, kernel_scale > 0, got {self}")
 
 
 @dataclass(frozen=True)
@@ -167,42 +167,46 @@ def equivalence_loss_graph(z: Tensor, clones: int, items: int) -> Tensor:
     return ad.sub(others, ad.concat([ref] * (clones - 1), axis=1)).sqnorm()
 
 
-def decoder_loss_graph(dec: Tensor, targets: Tensor, clones: int) -> Tensor:
+def decoder_loss_graph(dec: Tensor, targets: np.ndarray, clones: int) -> Tensor:
     """dec: time-major reconstructions (T, Q*m, N), clone-major; targets:
-    the clean frames (T, m, N), shared by every clone."""
-    return ad.sub(dec, ad.concat([targets] * clones, axis=1)).sqnorm()
+    the clean frames (T, m, N), shared by every clone, as a constant."""
+    return ad.sub(dec, dec.tape.constant(np.concatenate([targets] * clones, axis=1))).sqnorm()
 
 
-def _kernel_matrix_graph(a: Tensor, b: Tensor, a_sq: Tensor, b_sq: Tensor, ones_row: Tensor, c: float) -> Tensor:
+def _kernel_matrix_graph(a_sq_rows: Tensor, b_sq_cols: Tensor, a: Tensor, b_t: Tensor, c: float) -> Tensor:
     # |a_i - b_j|^2 expanded as |a_i|^2 + |b_j|^2 - 2 a_i.b_j
-    d2 = ad.sub(
-        ad.add(ad.matmul(a_sq, ones_row), ad.matmul(b_sq, ones_row).T),
-        ad.scale(ad.matmul(a, b.T), 2.0),
-    )
+    d2 = ad.sub(ad.add(a_sq_rows, b_sq_cols), ad.scale(ad.matmul(a, b_t), 2.0))
     return ad.scale(ad.recip(ad.add_scalar(d2, c)), c)
 
 
-def mmd_sq_graph(z: Tensor, y: Tensor, weights: LossWeights) -> Tensor:
-    """Differentiable twin of mmd_sq; z and y are (n, dim) tensors on one tape."""
+def mmd_sq_graph(z: Tensor, y: np.ndarray, weights: LossWeights) -> Tensor:
+    """Differentiable twin of mmd_sq in z, an (n, dim) tensor; the prior
+    draws y (n, dim) carry no gradient, so they stay off the tape: their
+    own kernel sum is computed in numpy, in the tape's dtype and the same
+    expanded form as the z blocks, so it rounds exactly as a tape build of
+    it would; they enter the cross kernel as constants."""
     n, dim = z.shape
+    tape = z.tape
+    y = np.asarray(y, dtype=tape.dtype)
     if y.shape != (n, dim):
         raise DimMismatch(f"sample blocks differ: {z.shape} vs {y.shape}")
     if n < 2:
         raise TooFewSamples(f"need at least 2 samples, got {n}")
-    tape = z.tape
     c = imq_constant(dim, weights.kernel_scale)
-    ones_col = tape.constant(np.ones((dim, 1)))
-    ones_row = tape.constant(np.ones((1, n)))
-    off_mask = tape.constant(1.0 - np.eye(n))
+    ones_col = np.ones((dim, 1), dtype=tape.dtype)
+    off_mask = 1.0 - np.eye(n, dtype=tape.dtype)
+    y_t = np.ascontiguousarray(y.T)
+    y_sq = (y * y) @ ones_col  # (n, 1) row norms
+    y_sq_cols = np.ascontiguousarray(np.broadcast_to(y_sq.T, (n, n)))
+    kyy = c * (1.0 / (((y_sq + y_sq_cols) - 2.0 * (y @ y_t)) + c))
 
-    z_sq = ad.matmul(z.square(), ones_col)  # (n, 1) row norms
-    y_sq = ad.matmul(y.square(), ones_col)
-    kzz = _kernel_matrix_graph(z, z, z_sq, z_sq, ones_row, c)
-    kyy = _kernel_matrix_graph(y, y, y_sq, y_sq, ones_row, c)
-    kzy = _kernel_matrix_graph(z, y, z_sq, y_sq, ones_row, c)
+    ones_row = tape.constant(np.ones((1, n)))
+    z_sq = ad.matmul(z.square(), tape.constant(ones_col))
+    kzz = _kernel_matrix_graph(ad.matmul(z_sq, ones_row), ad.matmul(z_sq, ones_row).T, z, z.T, c)
+    kzy = _kernel_matrix_graph(ad.matmul(z_sq, ones_row), tape.constant(y_sq_cols), z, tape.constant(y_t), c)
 
     within = ad.scale(
-        ad.add(ad.mul(kzz, off_mask).sum(), ad.mul(kyy, off_mask).sum()),
+        ad.add_scalar(ad.mul(kzz, tape.constant(off_mask)).sum(), np.sum(kyy * off_mask)),
         1.0 / (n * (n - 1)),
     )
     cross = ad.scale(kzy.sum(), 2.0 / (n * n))

@@ -56,14 +56,6 @@ class ModelParams:
     mean: np.ndarray  # (input_dim,) float32
     std: np.ndarray   # (input_dim,) float32, strictly positive
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(
-            config=self.config,
-            tensors={k: v.copy() for k, v in self.tensors.items()},
-            mean=self.mean.copy(),
-            std=self.std.copy(),
-        )
-
 
 def _param_shapes(cfg: EncoderConfig) -> dict:
     h, n, l = cfg.hidden, cfg.input_dim, cfg.feature_dim

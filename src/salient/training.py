@@ -35,6 +35,7 @@ from .model import (
     decoder_graph,
     encoder_graph,
     init_params,
+    normalize,
     param_leaves,
     save_checkpoint,
 )
@@ -48,27 +49,24 @@ class TrainConfig:
     steps: int
     batch_size: int = 64
     clones: int = 32
-    optimizer: str = "adam"
     learning_rate: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     weights: LossWeights = LossWeights()
     seed: int = 0
     eval_every: int = 50
     checkpoint_dir: str = "checkpoints"
-    grad_clip: float = 0.0  # 0 disables clipping
     snr_jitter_db: float = corpus_mod.DEFAULT_SNR_JITTER_DB
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise InvalidRange(f"steps must be >= 1, got {self.steps}")
-        if self.batch_size < 2:
-            raise InvalidRange(f"batch_size must be >= 2, got {self.batch_size}")
-        if self.clones < 2:
-            raise InvalidRange(f"clones must be >= 2, got {self.clones}")
-        if self.optimizer not in ("adam", "sgd"):
-            raise InvalidRange(f"optimizer must be adam or sgd, got {self.optimizer!r}")
+        for name, ok, want in (
+            ("steps", self.steps >= 1, ">= 1"),
+            ("batch_size", self.batch_size >= 2, ">= 2"),
+            ("clones", self.clones >= 2, ">= 2"),
+            ("learning_rate", 0.0 < self.learning_rate < np.inf, "finite and > 0"),
+            ("eval_every", self.eval_every >= 1, ">= 1"),
+            ("snr_jitter_db", 0.0 <= self.snr_jitter_db < np.inf, "finite and >= 0"),
+        ):
+            if not ok:
+                raise InvalidRange(f"{name} must be {want}, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -95,19 +93,8 @@ class TrainResult:
 
 
 # ---------------------------------------------------------------------------
-# optimizers
+# optimizer
 # ---------------------------------------------------------------------------
-
-class Sgd:
-    def __init__(self, tensors: dict, lr: float):
-        self.lr = lr
-
-    def step(self, tensors: dict, grads: dict) -> None:
-        for name in sorted(tensors):
-            g = grads.get(name)
-            if g is not None:
-                tensors[name] -= self.lr * g
-
 
 class Adam:
     def __init__(self, tensors: dict, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -133,18 +120,6 @@ class Adam:
             tensors[name] -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
 
-def make_optimizer(config: TrainConfig, params: ModelParams):
-    if config.optimizer == "sgd":
-        return Sgd(params.tensors, config.learning_rate)
-    return Adam(
-        params.tensors,
-        config.learning_rate,
-        config.adam_beta1,
-        config.adam_beta2,
-        config.adam_eps,
-    )
-
-
 # ---------------------------------------------------------------------------
 # one training step
 # ---------------------------------------------------------------------------
@@ -164,16 +139,15 @@ def step_objective(tape: Tape, leaves: dict, config: EncoderConfig, inputs: np.n
     clone q of all m items occupies rows [q*m, (q+1)*m)."""
     m, q_clones, t_frames, n_bins = inputs.shape
     x = tape.constant(inputs.transpose(2, 1, 0, 3).reshape(t_frames, q_clones * m, n_bins))
-    target = tape.constant(targets.transpose(1, 0, 2))
 
     z = encoder_graph(leaves, config, x)
     d_e_sum = losses_mod.equivalence_loss_graph(z, q_clones, m)
     d_e = ad.scale(d_e_sum, 1.0 / (m * (q_clones - 1) * t_frames * config.feature_dim))
 
     pooled = ad.reshape(ad.slice_(z, 1, 0, m), (t_frames * m, config.feature_dim))
-    d_mmd = losses_mod.mmd_sq_graph(pooled, tape.constant(prior), weights)
+    d_mmd = losses_mod.mmd_sq_graph(pooled, prior, weights)
 
-    d_d_sum = losses_mod.decoder_loss_graph(decoder_graph(leaves, config, z), target, q_clones)
+    d_d_sum = losses_mod.decoder_loss_graph(decoder_graph(leaves, config, z), targets.transpose(1, 0, 2), q_clones)
     d_d = ad.scale(d_d_sum, 1.0 / (m * q_clones * t_frames * n_bins))
 
     d_global = ad.add(
@@ -187,14 +161,14 @@ def build_step_graph(tape: Tape, params: ModelParams, batch: CloneBatch, prior: 
     """Assemble the full step graph on `tape`: normalize the batch with the
     stored statistics and build `step_objective` over the parameter leaves.
     Returns (leaves, (d_e, d_mmd, d_d, d_global))."""
-    normalized = ((batch.clone_inputs - params.mean) / params.std).astype(np.float32)
-    tgt_norm = ((batch.clean_targets - params.mean) / params.std).astype(np.float32)
+    normalized = normalize(params, batch.clone_inputs).astype(np.float32)
+    tgt_norm = normalize(params, batch.clean_targets).astype(np.float32)
     leaves = param_leaves(tape, params)
     terms = step_objective(tape, leaves, params.config, normalized, tgt_norm, prior, weights)
     return leaves, terms
 
 
-def _apply_step(params: ModelParams, batch: CloneBatch, prior: np.ndarray, weights: LossWeights, optimizer, grad_clip: float) -> LossBreakdown:
+def _apply_step(params: ModelParams, batch: CloneBatch, prior: np.ndarray, weights: LossWeights, optimizer: Adam) -> LossBreakdown:
     """Forward, backward and one optimizer update. Raises NonFiniteLoss with
     parameters untouched if anything non-finite shows up."""
     tape = Tape(np.float32)
@@ -211,28 +185,9 @@ def _apply_step(params: ModelParams, batch: CloneBatch, prior: np.ndarray, weigh
             if not np.all(np.isfinite(g)):
                 raise NonFiniteLoss(f"non-finite gradient for {name}")
             grads[name] = g
-    if grad_clip > 0.0:
-        norm = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
-        if norm > grad_clip:
-            grads = {k: g * (grad_clip / norm) for k, g in grads.items()}
 
     optimizer.step(params.tensors, grads)
     return losses_mod.global_loss(float(d_e.data), float(d_mmd.data), float(d_d.data), weights)
-
-
-def train_step(params: ModelParams, batch: CloneBatch, config: TrainConfig, optimizer=None, prior: np.ndarray = None) -> tuple:
-    """Single-step entry point; train() drives this logic with persistent
-    optimizer state. Returns (params, LossBreakdown); params are updated
-    in place (the parameter table is materialized exactly once)."""
-    if optimizer is None:
-        optimizer = make_optimizer(config, params)
-    if prior is None:
-        m, _, t_frames, _ = batch.clone_inputs.shape
-        prior = losses_mod.laplace_prior_sample(
-            m * t_frames, params.config.feature_dim, named_stream(config.seed, "prior/0/0")
-        )
-    breakdown = _apply_step(params, batch, prior, config.weights, optimizer, config.grad_clip)
-    return params, breakdown
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +236,7 @@ def train(manifest: Manifest, model_config: EncoderConfig, config: TrainConfig) 
     init_path = ckpt_dir / "init.ckpt"
     save_checkpoint(params, init_path)
 
-    optimizer = make_optimizer(config, params)
+    optimizer = Adam(params.tensors, config.learning_rate)
     records: list = []
     best_step, best_smoothed, best_tensors = 0, np.inf, None
     skips = 0
@@ -303,7 +258,7 @@ def train(manifest: Manifest, model_config: EncoderConfig, config: TrainConfig) 
                     named_stream(config.seed, f"prior/{step}/{attempt}"),
                 )
                 try:
-                    breakdown = _apply_step(params, batch, prior, config.weights, optimizer, config.grad_clip)
+                    breakdown = _apply_step(params, batch, prior, config.weights, optimizer)
                     break
                 except NonFiniteLoss as exc:
                     skips += 1

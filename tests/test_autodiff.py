@@ -263,12 +263,6 @@ class TestContracts:
         with pytest.raises(NonFiniteValue):
             ad.recip(x)
 
-    def test_nonfinite_check_can_be_disabled(self):
-        tape = ad.Tape(dtype=np.float64, check_finite=False)
-        x = tape.leaf(np.zeros(2))
-        out = ad.recip(x)
-        assert np.all(np.isinf(out.data))
-
     def test_leaf_shares_memory_on_matching_dtype(self):
         arr = np.ones((3, 3), dtype=np.float32)
         tape = ad.Tape(dtype=np.float32)

@@ -3,11 +3,14 @@ subcommand, driven through main(argv)."""
 
 import json
 import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from salient import audio, cli, corpus, inference, model, training
+from salient.errors import SalientError
+from salient.losses import LossWeights
 from salient.seeding import named_stream
 
 
@@ -79,7 +82,7 @@ class TestTrainCmd:
         args = parser.parse_args(["train", "--manifest", "m", "--out", "o", "--preset", "desk"])
         _, resolved = cli.resolve_train_settings(args)
         want = training.TrainConfig(steps=resolved["steps"], batch_size=16, clones=8)
-        for key in ("optimizer", "learning_rate", "eval_every", "seed", "grad_clip", "snr_jitter_db"):
+        for key in ("learning_rate", "eval_every", "seed", "snr_jitter_db"):
             assert resolved[key] == getattr(want, key), key
         for key in ("lambda_mmd", "lambda_d", "kernel_scale"):
             assert resolved[key] == getattr(want.weights, key), key
@@ -120,6 +123,56 @@ class TestTrainCmd:
         assert code == 1
         err = capsys.readouterr().err
         assert str(cfg) in err and "line 2" in err and "steps" in err
+
+    def test_non_integer_config_value_fails(self, tmp_path, cli_corpus, capsys):
+        cfg = tmp_path / "frac.cfg"
+        cfg.write_text("steps = 1.5\n")
+        code = run([
+            "train", "--manifest", str(cli_corpus / "manifest.jsonl"),
+            "--out", str(tmp_path / "o"), "--config", str(cfg),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "line 1" in err and "steps" in err and "integer" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_integral_config_value_accepted(self, tmp_path):
+        cfg = tmp_path / "int.cfg"
+        cfg.write_text("steps = 1e3\nseed = 4.0\n")
+        args = cli.build_parser().parse_args(["train", "--manifest", "m", "--out", "o", "--config", str(cfg)])
+        _, resolved = cli.resolve_train_settings(args)
+        assert (resolved["steps"], resolved["seed"]) == (1000, 4)
+        assert type(resolved["steps"]) is int
+
+    @pytest.mark.parametrize("flag,value", [("--eval-every", "0"), ("--learning-rate", "nan")])
+    def test_out_of_range_flag_exits_one_without_traceback(self, tmp_path, cli_corpus, capsys, flag, value):
+        code = run([
+            "train", "--manifest", str(cli_corpus / "manifest.jsonl"),
+            "--out", str(tmp_path / "o"), "--steps", "2", flag, value,
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and flag[2:].replace("-", "_") in err
+        assert not (tmp_path / "o").exists()
+
+    def test_flags_and_config_keys_are_the_train_config_fields(self, tmp_path):
+        # every TrainConfig/LossWeights value but weights and checkpoint_dir
+        # is settable by flag and by config file, and nothing else is
+        want = {f.name for f in fields(training.TrainConfig)} - {"weights", "checkpoint_dir"}
+        want |= {f.name for f in fields(LossWeights)}
+        parser = cli.build_parser()
+        args = parser.parse_args(["train", "--manifest", "m", "--out", "o"])
+        assert set(vars(args)) - {"command", "func", "manifest", "out", "preset", "config"} == want
+        cfg = tmp_path / "all.cfg"
+        _, resolved = cli.resolve_train_settings(args)
+        cfg.write_text("".join(f"{key} = {resolved[key]}\n" for key in sorted(want)))
+        args = parser.parse_args(["train", "--manifest", "m", "--out", "o", "--config", str(cfg)])
+        assert cli.resolve_train_settings(args)[1] == resolved
+        assert set(resolved) == want
+        for removed in ("optimizer = adam", "grad_clip = 0"):
+            cfg.write_text(removed + "\n")
+            with pytest.raises(SalientError, match="unknown key"):
+                cli.resolve_train_settings(args)
 
     def test_resolved_config_echoed(self, tmp_path, cli_corpus, capsys):
         run([

@@ -1,4 +1,4 @@
-"""Training-step contracts: weight sharing, exact zero gradients, optimizer
+"""Training-step contracts: weight sharing, exact zero gradients, Adam
 oracles, determinism, logging and best-checkpoint selection."""
 
 import gc
@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from salient import autodiff as ad
-from salient import model, training
+from salient import losses, model, training
 from salient.autodiff import Tape
 from salient.corpus import CloneBatch
 from salient.errors import InvalidRange, NonFiniteLoss
@@ -30,36 +30,37 @@ def identical_clone_batch(cfg, m=2, q=4, t=6, seed=1) -> CloneBatch:
     return CloneBatch(clone_inputs=inputs, clean_targets=clean, meta=(("x", 0),) * m)
 
 
+def apply_step(params, batch, weights=LossWeights(), lr=1e-3, seed=0):
+    """One `_apply_step` with a fresh Adam and a Laplacian prior draw."""
+    m, _, t_frames, _ = batch.clone_inputs.shape
+    prior = losses.laplace_prior_sample(m * t_frames, params.config.feature_dim, named_stream(seed, "prior"))
+    return training._apply_step(params, batch, prior, weights, training.Adam(params.tensors, lr))
+
+
 class TestTrainStep:
     def test_identical_inputs_zero_equivalence(self, tiny_model_config):
         params = model.init_params(tiny_model_config, seed=1)
-        batch = identical_clone_batch(tiny_model_config)
-        cfg = training.TrainConfig(steps=1, batch_size=2, clones=4, seed=1)
-        _, breakdown = training.train_step(params, batch, cfg)
+        breakdown = apply_step(params, identical_clone_batch(tiny_model_config), seed=1)
         assert abs(breakdown.d_e) < 1e-10
 
     def test_zero_weights_identical_inputs_params_unchanged(self, tiny_model_config):
         # with both extra terms off and all clones equal, the equivalence
-        # gradient is exactly zero, so SGD must leave every weight untouched
+        # gradient is exactly zero, a fixed point of Adam, so every weight
+        # stays untouched
         params = model.init_params(tiny_model_config, seed=2)
         before = {k: v.copy() for k, v in params.tensors.items()}
         batch = identical_clone_batch(tiny_model_config)
-        cfg = training.TrainConfig(
-            steps=1, batch_size=2, clones=4, optimizer="sgd", learning_rate=0.5,
-            weights=LossWeights(lambda_mmd=0.0, lambda_d=0.0), seed=2,
-        )
-        _, breakdown = training.train_step(params, batch, cfg)
+        breakdown = apply_step(params, batch, LossWeights(lambda_mmd=0.0, lambda_d=0.0), lr=0.5, seed=2)
         assert breakdown.d_e == 0.0
         assert all(np.array_equal(params.tensors[k], before[k]) for k in before)
 
     def test_params_updated_in_place_single_materialization(self, tiny_model_config):
         params = model.init_params(tiny_model_config, seed=3)
+        before = {k: v.copy() for k, v in params.tensors.items()}
         arrays_before = {k: id(v) for k, v in params.tensors.items()}
-        batch = synthetic_batch(tiny_model_config)
-        cfg = training.TrainConfig(steps=1, batch_size=2, clones=3, seed=3)
-        out, _ = training.train_step(params, batch, cfg)
-        assert out is params
+        apply_step(params, synthetic_batch(tiny_model_config), seed=3)
         assert {k: id(v) for k, v in params.tensors.items()} == arrays_before
+        assert any(not np.array_equal(params.tensors[k], before[k]) for k in before)
 
     def test_step_graph_leaves_share_param_memory(self, tiny_model_config):
         params = model.init_params(tiny_model_config, seed=4)
@@ -100,23 +101,35 @@ class TestTrainStep:
         finally:
             gc.enable()
 
+    def test_step_tape_records_only_gradient_ops(self, tiny_model_config):
+        # the prior's kernel block and the tiled targets are computed in
+        # numpy and enter as constants, so every recorded op has a backward
+        params = model.init_params(tiny_model_config, seed=4)
+        tape = Tape(np.float32)
+        prior = np.zeros((12, tiny_model_config.feature_dim))
+        training.build_step_graph(tape, params, synthetic_batch(tiny_model_config), prior, LossWeights())
+        assert [name for name, _, bwd in tape._ops if name != "leaf" and bwd is None] == []
+
     def test_accounting_identity(self, tiny_model_config):
         params = model.init_params(tiny_model_config, seed=5)
-        batch = synthetic_batch(tiny_model_config, seed=5)
         w = LossWeights()
-        cfg = training.TrainConfig(steps=1, batch_size=2, clones=3, seed=5, weights=w)
-        _, bd = training.train_step(params, batch, cfg)
+        bd = apply_step(params, synthetic_batch(tiny_model_config, seed=5), w, seed=5)
         assert bd.d_global == bd.d_e + w.lambda_mmd * bd.d_mmd + w.lambda_d * bd.d_d
 
-    def test_config_validation(self):
+    @pytest.mark.parametrize("key,value", [
+        ("steps", 0), ("batch_size", 1), ("clones", 1),
+        ("learning_rate", float("nan")), ("learning_rate", float("inf")),
+        ("learning_rate", 0.0), ("learning_rate", -1.0), ("eval_every", 0),
+        ("snr_jitter_db", -1.0), ("snr_jitter_db", float("nan")), ("snr_jitter_db", float("inf")),
+        ("lambda_mmd", -1.0), ("lambda_d", float("nan")), ("lambda_d", float("inf")),
+        ("kernel_scale", 0.0), ("kernel_scale", float("nan")),
+    ])
+    def test_config_validation(self, key, value):
         with pytest.raises(InvalidRange):
-            training.TrainConfig(steps=0)
-        with pytest.raises(InvalidRange):
-            training.TrainConfig(steps=1, batch_size=1)
-        with pytest.raises(InvalidRange):
-            training.TrainConfig(steps=1, clones=1)
-        with pytest.raises(InvalidRange):
-            training.TrainConfig(steps=1, optimizer="adagrad")
+            if key in ("lambda_mmd", "lambda_d", "kernel_scale"):
+                training.TrainConfig(steps=1, weights=LossWeights(**{key: value}))
+            else:
+                training.TrainConfig(**{"steps": 1, key: value})
 
 
 class TestOptimizers:
@@ -143,11 +156,6 @@ class TestOptimizers:
             v = 0.999 * v + 0.001 * g * g
             w -= 0.5 * (m / (1 - 0.9**t)) / (np.sqrt(v / (1 - 0.999**t)) + 1e-8)
         assert abs(float(p["w"][0]) - w) <= 1e-12
-
-    def test_sgd(self):
-        p = {"w": np.array([1.0, 2.0])}
-        training.Sgd(p, lr=0.25).step(p, {"w": np.array([4.0, -4.0])})
-        assert np.array_equal(p["w"], np.array([0.0, 3.0]))
 
     def test_zero_gradient_is_fixed_point(self):
         p = {"w": np.array([1.5])}
