@@ -19,10 +19,12 @@ from scipy.special import expit
 
 from .errors import (
     DetachedGraph,
+    DimMismatch,
     InvalidStep,
     NonFiniteValue,
     NotScalar,
     ShapeMismatch,
+    TooFewSamples,
 )
 
 
@@ -44,20 +46,7 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    @property
-    def T(self) -> "Tensor":
-        return transpose(self)
-
     # -- unary ops --------------------------------------------------------
-    def sigmoid(self) -> "Tensor":
-        s = expit(self.data)
-        idx = self.idx
-
-        def bwd(g, acc):
-            _acc(acc, idx, g * (s * (1.0 - s)))
-
-        return self.tape._record(s, "sigmoid", (idx,), bwd)
-
     def tanh(self) -> "Tensor":
         t = np.tanh(self.data)
         idx = self.idx
@@ -66,34 +55,6 @@ class Tensor:
             _acc(acc, idx, g * (1.0 - t * t))
 
         return self.tape._record(t, "tanh", (idx,), bwd)
-
-    def square(self) -> "Tensor":
-        x = self.data
-        idx = self.idx
-
-        def bwd(g, acc):
-            _acc(acc, idx, 2.0 * g * x)
-
-        return self.tape._record(x * x, "square", (idx,), bwd)
-
-    def sum(self) -> "Tensor":
-        idx = self.idx
-        shp = self.shape
-
-        def bwd(g, acc):
-            _acc(acc, idx, np.broadcast_to(g, shp))
-
-        return self.tape._record(np.sum(self.data), "sum", (idx,), bwd)
-
-    def mean(self) -> "Tensor":
-        idx = self.idx
-        shp = self.shape
-        n = self.size
-
-        def bwd(g, acc):
-            _acc(acc, idx, np.broadcast_to(g / n, shp))
-
-        return self.tape._record(np.mean(self.data), "mean", (idx,), bwd)
 
     def sqnorm(self) -> "Tensor":
         """Sum of squared entries, as a scalar."""
@@ -216,20 +177,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     return tape._record(a.data - b.data, "sub", (ia, ib), bwd)
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    tape = _check_tape(a, b)
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"mul: {a.shape} vs {b.shape}")
-    ia, ib = a.idx, b.idx
-    da, db = a.data, b.data
-
-    def bwd(g, acc):
-        _acc(acc, ia, g * db)
-        _acc(acc, ib, g * da)
-
-    return tape._record(da * db, "mul", (ia, ib), bwd)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """(M, K) @ (K, N), or a time-major (T, M, K) @ (K, N), which numpy runs
     as one product per slice, so each slice equals its own 2-D product."""
@@ -295,15 +242,40 @@ def lstm(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
     return tape._record(hs[1:], "lstm", (ix, iwx, iwh, ib), bwd)
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeMismatch(f"transpose: rank-2 only, got {a.shape}")
-    ia = a.idx
+def _imq_block(a: np.ndarray, b: np.ndarray, c: float) -> np.ndarray:
+    # k(a_i, b_j) = c / (c + d2), with d2 = |a_i|^2 + |b_j|^2 - 2 a_i.b_j
+    d2 = (np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :]) - 2.0 * (a @ b.T)
+    return c / (c + d2)
+
+
+def imq_mmd(z: Tensor, y: np.ndarray, c: float) -> Tensor:
+    """Squared MMD between the rows of z (n, dim) and the constant draws y
+    (n, dim) under the kernel c / (c + |a-b|^2): the off-diagonal means of
+    the z-z and y-y blocks minus twice the full mean of the z-y block.
+    Kernels use the expanded form of the squared distance in the tape dtype.
+    The kernel's derivative in d2 is -k^2/c, so the gradient for row i is
+    sum_j w_ij (z_i - z_j) + sum_j v_ij (z_i - y_j), with
+    w = -4 k_zz^2 / (c n(n-1)) off the diagonal and v = 4 k_zy^2 / (c n^2)."""
+    tape = z.tape
+    y = np.asarray(y, dtype=tape.dtype)
+    if z.data.ndim != 2 or y.shape != z.shape:
+        raise DimMismatch(f"imq_mmd: sample blocks must both be (n, dim), got {z.shape} and {y.shape}")
+    n = z.shape[0]
+    if n < 2:
+        raise TooFewSamples(f"imq_mmd: need at least 2 samples, got {n}")
+    dz = z.data
+    kzz, kyy, kzy = _imq_block(dz, dz, c), _imq_block(y, y, c), _imq_block(dz, y, c)
+    np.fill_diagonal(kzz, 0.0)
+    np.fill_diagonal(kyy, 0.0)
+    out = (np.sum(kzz) + np.sum(kyy)) / (n * (n - 1)) - 2.0 * np.sum(kzy) / (n * n)
+    iz = z.idx
 
     def bwd(g, acc):
-        _acc(acc, ia, g.T)
+        w = (-4.0 / (c * n * (n - 1))) * (kzz * kzz)
+        v = (4.0 / (c * n * n)) * (kzy * kzy)
+        _acc(acc, iz, g * ((w.sum(axis=1) + v.sum(axis=1))[:, None] * dz - w @ dz - v @ y))
 
-    return a.tape._record(np.ascontiguousarray(a.data.T), "transpose", (ia,), bwd)
+    return tape._record(out, "imq_mmd", (iz,), bwd)
 
 
 def bias_add(x: Tensor, b: Tensor) -> Tensor:
@@ -366,27 +338,6 @@ def scale(x: Tensor, c: float) -> Tensor:
         _acc(acc, ix, c * g)
 
     return x.tape._record(c * x.data, "scale", (ix,), bwd)
-
-
-def add_scalar(x: Tensor, c: float) -> Tensor:
-    ix = x.idx
-
-    def bwd(g, acc):
-        _acc(acc, ix, g)
-
-    return x.tape._record(x.data + float(c), "add_scalar", (ix,), bwd)
-
-
-def recip(x: Tensor) -> Tensor:
-    """Elementwise 1/x. A zero input surfaces as NonFiniteValue."""
-    ix = x.idx
-    with np.errstate(divide="ignore"):
-        out = 1.0 / x.data
-
-    def bwd(g, acc):
-        _acc(acc, ix, -g * out * out)
-
-    return x.tape._record(out, "recip", (ix,), bwd)
 
 
 def reshape(x: Tensor, shape: tuple) -> Tensor:

@@ -9,6 +9,7 @@ be reproduced from its own output plus the input files.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -27,9 +28,12 @@ def _print_config(name: str, resolved: dict) -> None:
 
 def _parse_snr_list(text: str) -> list:
     try:
-        return [float(s) for s in text.split(",") if s.strip() != ""]
+        snrs = [float(s) for s in text.split(",") if s.strip() != ""]
     except ValueError as exc:
         raise SalientError(f"bad --snr-list {text!r}: {exc}") from exc
+    if not all(math.isfinite(s) for s in snrs):
+        raise SalientError(f"bad --snr-list {text!r}: every SNR must be finite")
+    return snrs
 
 
 # ---------------------------------------------------------------------------

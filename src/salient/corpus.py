@@ -140,7 +140,7 @@ def _mix_entry_segment(
     of the entry's noise sources; the summed noise is scaled to the target SNR."""
     total = np.zeros(len(seg), dtype=np.float64)
     for p in entry.noise_paths:
-        total += _noise_segment(_cached_wav(p).astype(np.float64), len(seg), rng)
+        total += _noise_segment(_cached_wav(p), len(seg), rng).astype(np.float64)
     return mix_at_snr(
         AudioBuffer(seg.astype(np.float32)),
         AudioBuffer(total.astype(np.float32)),
@@ -369,9 +369,13 @@ def load_manifest(path) -> Manifest:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: line {lineno}: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise ParseError(f"{path}: line {lineno}: expected a JSON object, got {line.strip()!r}")
         if "id" not in obj:
             if "seed" in obj and lineno == 1:
-                seed = int(obj["seed"])
+                seed = obj["seed"]
+                if type(seed) is not int or seed < 0:
+                    raise ParseError(f"{path}: line {lineno}: seed must be a non-negative integer, got {seed!r}")
                 continue
             raise ParseError(f"{path}: line {lineno}: entry missing 'id'")
         try:
@@ -383,6 +387,8 @@ def load_manifest(path) -> Manifest:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"{path}: line {lineno}: {exc}") from exc
+        if not math.isfinite(entry.snr_db):
+            raise ParseError(f"{path}: line {lineno}: snr_db must be finite, got {entry.snr_db!r}")
         if entry.utterance_id in seen:
             raise ParseError(f"{path}: line {lineno}: duplicate id {entry.utterance_id!r}")
         if not entry.noise_paths:

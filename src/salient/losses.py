@@ -11,11 +11,14 @@ the within-sample sums with a full-pair average for the cross term, so small
 negative values are possible. The decoder term sums squared reconstruction
 errors of every clone against the shared clean target frame.
 
-Each term exists twice: as a plain numpy function (the public, checkable
-surface) and as a tape graph builder used for training. Tests pin the two
-routes against each other and against hand-computed values. Both routes
-return the sums; the training objective (`training.step_objective`) divides
-the equivalence and decoder sums by their element counts before weighting.
+Each term has a plain numpy function (the public, checkable surface) and a
+tape graph builder used for training. The MMD builder is the fused
+`autodiff.imq_mmd` op, which uses the expanded form of the squared distance
+in the tape dtype; its numpy twin `mmd_sq` uses the direct form in float64,
+so the two are independent routes. Tests pin the routes against each other
+and against hand-computed values. Both routes return the sums; the training
+objective (`training.step_objective`) divides the equivalence and decoder
+sums by their element counts before weighting.
 """
 
 from __future__ import annotations
@@ -173,41 +176,9 @@ def decoder_loss_graph(dec: Tensor, targets: np.ndarray, clones: int) -> Tensor:
     return ad.sub(dec, dec.tape.constant(np.concatenate([targets] * clones, axis=1))).sqnorm()
 
 
-def _kernel_matrix_graph(a_sq_rows: Tensor, b_sq_cols: Tensor, a: Tensor, b_t: Tensor, c: float) -> Tensor:
-    # |a_i - b_j|^2 expanded as |a_i|^2 + |b_j|^2 - 2 a_i.b_j
-    d2 = ad.sub(ad.add(a_sq_rows, b_sq_cols), ad.scale(ad.matmul(a, b_t), 2.0))
-    return ad.scale(ad.recip(ad.add_scalar(d2, c)), c)
-
-
 def mmd_sq_graph(z: Tensor, y: np.ndarray, weights: LossWeights) -> Tensor:
-    """Differentiable twin of mmd_sq in z, an (n, dim) tensor; the prior
-    draws y (n, dim) carry no gradient, so they stay off the tape: their
-    own kernel sum is computed in numpy, in the tape's dtype and the same
-    expanded form as the z blocks, so it rounds exactly as a tape build of
-    it would; they enter the cross kernel as constants."""
-    n, dim = z.shape
-    tape = z.tape
-    y = np.asarray(y, dtype=tape.dtype)
-    if y.shape != (n, dim):
-        raise DimMismatch(f"sample blocks differ: {z.shape} vs {y.shape}")
-    if n < 2:
-        raise TooFewSamples(f"need at least 2 samples, got {n}")
-    c = imq_constant(dim, weights.kernel_scale)
-    ones_col = np.ones((dim, 1), dtype=tape.dtype)
-    off_mask = 1.0 - np.eye(n, dtype=tape.dtype)
-    y_t = np.ascontiguousarray(y.T)
-    y_sq = (y * y) @ ones_col  # (n, 1) row norms
-    y_sq_cols = np.ascontiguousarray(np.broadcast_to(y_sq.T, (n, n)))
-    kyy = c * (1.0 / (((y_sq + y_sq_cols) - 2.0 * (y @ y_t)) + c))
-
-    ones_row = tape.constant(np.ones((1, n)))
-    z_sq = ad.matmul(z.square(), tape.constant(ones_col))
-    kzz = _kernel_matrix_graph(ad.matmul(z_sq, ones_row), ad.matmul(z_sq, ones_row).T, z, z.T, c)
-    kzy = _kernel_matrix_graph(ad.matmul(z_sq, ones_row), tape.constant(y_sq_cols), z, tape.constant(y_t), c)
-
-    within = ad.scale(
-        ad.add_scalar(ad.mul(kzz, tape.constant(off_mask)).sum(), np.sum(kyy * off_mask)),
-        1.0 / (n * (n - 1)),
-    )
-    cross = ad.scale(kzy.sum(), 2.0 / (n * n))
-    return ad.sub(within, cross)
+    """Differentiable twin of mmd_sq in z, an (n, dim) tensor, as one fused
+    tape op; the prior draws y (n, dim) carry no gradient, so they stay off
+    the tape as a numpy array."""
+    dim = z.shape[-1] if z.shape else 0  # a 0-d z is rejected by the op
+    return ad.imq_mmd(z, y, imq_constant(dim, weights.kernel_scale))

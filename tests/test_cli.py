@@ -263,6 +263,26 @@ class TestEvalCmd:
         assert code == 1
 
 
+    @pytest.mark.parametrize("line", ['{"seed": "abc"}', '{"seed": null}', '{"seed": 1.5}', "3"])
+    def test_bad_manifest_line_exits_one(self, cli_run, tmp_path, capsys, line):
+        mp = tmp_path / "bad.jsonl"
+        mp.write_text(line + "\n")
+        assert run(["eval", "--checkpoint", str(cli_run / "best.ckpt"),
+                    "--manifest", str(mp), "--report", str(tmp_path / "r.json")]) == 1
+        assert run(["train", "--manifest", str(mp), "--out", str(tmp_path / "o"), "--steps", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("line 1") == 2 and "Traceback" not in err
+
+    def test_non_finite_snr_exits_one(self, cli_run, cli_corpus, tmp_path, capsys):
+        with pytest.raises(SalientError, match="finite"):
+            cli._parse_snr_list("0,nan")
+        assert run(["eval", "--checkpoint", str(cli_run / "best.ckpt"),
+                    "--manifest", str(cli_corpus / "manifest.jsonl"),
+                    "--snr-list", "0,inf", "--report", str(tmp_path / "r.json")]) == 1
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+
 class TestSelfcheckCmd:
     def test_fresh_build_passes_within_budget(self, capsys):
         t0 = time.time()

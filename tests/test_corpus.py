@@ -232,6 +232,20 @@ class TestManifestIO:
         with pytest.raises(ParseError, match="line 2"):
             corpus.load_manifest(mp)
 
+    @pytest.mark.parametrize("line", ['{"seed": "abc"}', '{"seed": null}', '{"seed": 1.5}', '{"seed": -1}', '{"seed": true}', "3"])
+    def test_bad_header_or_non_object_names_lineno(self, tmp_path, line):
+        mp = tmp_path / "bad.jsonl"
+        mp.write_text(line + "\n")
+        with pytest.raises(ParseError, match="line 1"):
+            corpus.load_manifest(mp)
+
+    @pytest.mark.parametrize("snr", ["NaN", "Infinity", "-Infinity", '"nan"'])
+    def test_non_finite_snr_rejected(self, tmp_path, snr):
+        mp = tmp_path / "m.jsonl"
+        mp.write_text(f'{{"seed": 1}}\n{{"id": "u", "clean": "a.wav", "noises": ["a.wav"], "snr_db": {snr}}}\n')
+        with pytest.raises(ParseError, match="line 2.*finite"):
+            corpus.load_manifest(mp)
+
     def test_missing_wav(self, tmp_path):
         mp = tmp_path / "m.jsonl"
         mp.write_text('{"seed": 1}\n{"id": "u", "clean": "gone.wav", "noises": ["x.wav"], "snr_db": 5.0}\n')

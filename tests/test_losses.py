@@ -209,6 +209,26 @@ class TestGraphBuildersMatchNumpy:
         err = ad.grad_check(f, rng.standard_normal(24), h=1e-5)
         assert err <= 1e-6
 
+    def test_mmd_graph_records_one_entry(self):
+        rng = named_stream(16, "gg")
+        tape = ad.Tape(np.float32)
+        z = tape.leaf(rng.standard_normal((12, 4)))
+        losses.mmd_sq_graph(z, rng.standard_normal((12, 4)), LossWeights())
+        assert len(tape) == 2  # the leaf and the fused op
+
+    @pytest.mark.parametrize("z_shape,y_shape,error", [
+        ((2, 4, 3), (2, 4, 3), DimMismatch),
+        ((6,), (6,), DimMismatch),
+        ((), (), DimMismatch),
+        ((4, 3), (4, 2), DimMismatch),
+        ((4, 3), (5, 3), DimMismatch),
+        ((1, 3), (1, 3), TooFewSamples),
+    ])
+    def test_mmd_graph_shape_errors(self, z_shape, y_shape, error):
+        tape = ad.Tape(np.float64)
+        with pytest.raises(error):
+            losses.mmd_sq_graph(tape.leaf(np.ones(z_shape)), np.ones(y_shape), LossWeights())
+
     def test_equivalence_graph_gradient(self):
         def f(tape, z):
             return losses.equivalence_loss_graph(ad.reshape(z, (1, 6, 2)), clones=3, items=2)
