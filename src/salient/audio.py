@@ -4,7 +4,8 @@ Every 40 ms analysis frame (640 samples at 16 kHz, 20 ms hop) yields 240
 log-mel bins: 80 from the full 40 ms window plus 80 from each of two 20 ms
 sub-windows placed at 5-25 ms and 15-35 ms inside the frame. All three
 windows are Hann-weighted, zero-padded to a single 1024-point FFT so one
-80-band filterbank serves them all.
+80-band filterbank serves them all. The front end is fixed: its constants
+below are what every checkpoint's normalization statistics were taken with.
 """
 
 from __future__ import annotations
@@ -52,16 +53,11 @@ class AudioBuffer:
     """Mono 16 kHz waveform; amplitudes nominally in [-1, 1]."""
 
     samples: np.ndarray
-    sample_rate_hz: int = SAMPLE_RATE
 
     def __post_init__(self):
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float32))
         if self.samples.ndim != 1:
             raise UnsupportedFormat(f"expected mono audio, got shape {self.samples.shape}")
-        if self.sample_rate_hz != SAMPLE_RATE:
-            raise UnsupportedFormat(
-                f"sample rate must be {SAMPLE_RATE} Hz, got {self.sample_rate_hz} Hz"
-            )
         if self.samples.size and not np.all(np.isfinite(self.samples)):
             raise CorruptFile("non-finite sample values")
 
@@ -171,26 +167,34 @@ def build_mel_filterbank(
     )
 
 
-@functools.lru_cache(maxsize=4)
+@functools.cache
 def default_filterbank() -> MelFilterbank:
     return build_mel_filterbank()
+
+
+@functools.cache
+def mel_pinv() -> np.ndarray:
+    """(513, 80) pseudo-inverse of the default filterbank weights, computed
+    on first use: only Griffin-Lim needs it."""
+    return np.linalg.pinv(default_filterbank().weights)
 
 
 # ---------------------------------------------------------------------------
 # framing
 # ---------------------------------------------------------------------------
 
-def _logmel_rows(segments: np.ndarray, window: np.ndarray, fb: MelFilterbank, floor: float) -> np.ndarray:
+def _logmel_rows(segments: np.ndarray, window: np.ndarray) -> np.ndarray:
     """(..., 80) log-mel rows for (..., win) signal segments.
 
     The FFT runs batched (bit-identical to one call per row); the mel
     projection stays per-row so that a row's bits do not depend on how many
     rows are framed together.
     """
-    spectrum = np.fft.rfft(segments * window, n=fb.n_fft, axis=-1)
+    spectrum = np.fft.rfft(segments * window, n=N_FFT, axis=-1)
     power = spectrum.real**2 + spectrum.imag**2
-    mel = np.stack([fb.weights @ p for p in power.reshape(-1, power.shape[-1])])
-    return np.log(mel.reshape(power.shape[:-1] + (fb.n_mels,)) + floor)
+    weights = default_filterbank().weights
+    mel = np.stack([weights @ p for p in power.reshape(-1, power.shape[-1])])
+    return np.log(mel.reshape(power.shape[:-1] + (N_MELS,)) + LOG_FLOOR)
 
 
 def _frame_grid(n_frames: int) -> np.ndarray:
@@ -202,7 +206,7 @@ def frame_count(n_samples: int) -> int:
     return (n_samples - FRAME_SAMPLES) // HOP_SAMPLES + 1
 
 
-def frame_matrix(signal, fb: MelFilterbank = None, floor: float = LOG_FLOOR) -> np.ndarray:
+def frame_matrix(signal) -> np.ndarray:
     """All 50%-overlapped dual-window frames (start samples 0, 320, ...):
     the 40 ms window, then its two 20 ms sub-windows.
 
@@ -210,7 +214,6 @@ def frame_matrix(signal, fb: MelFilterbank = None, floor: float = LOG_FLOOR) -> 
     the result is (..., T, 240), and each signal's rows are bitwise the ones
     it gets when framed alone.
     """
-    fb = fb or default_filterbank()
     x = signal.samples if isinstance(signal, AudioBuffer) else np.asarray(signal)
     if x.shape[-1] < FRAME_SAMPLES:
         raise TooShort(f"need at least {FRAME_SAMPLES} samples, got {x.shape[-1]}")
@@ -218,22 +221,49 @@ def frame_matrix(signal, fb: MelFilterbank = None, floor: float = LOG_FLOOR) -> 
     sub1, sub2 = (full[..., k : k + SUB_SAMPLES] for k in SUB_OFFSETS)
     return np.concatenate(
         [
-            _logmel_rows(full, _WIN_FULL, fb, floor),
-            _logmel_rows(sub1, _WIN_SUB, fb, floor),
-            _logmel_rows(sub2, _WIN_SUB, fb, floor),
+            _logmel_rows(full, _WIN_FULL),
+            _logmel_rows(sub1, _WIN_SUB),
+            _logmel_rows(sub2, _WIN_SUB),
         ],
         axis=-1,
     )
 
 
-def dual_window_frame(
-    audio: AudioBuffer,
-    frame_start_sample: int,
-    fb: MelFilterbank = None,
-    floor: float = LOG_FLOOR,
-) -> np.ndarray:
+def dual_window_frame(audio: AudioBuffer, frame_start_sample: int) -> np.ndarray:
     """(240,) log-mel frame for the 40 ms window starting at the given sample."""
     t = int(frame_start_sample)
     if t < 0 or t + FRAME_SAMPLES > len(audio):
         raise OutOfBounds(f"frame [{t}, {t + FRAME_SAMPLES}) outside audio of length {len(audio)}")
-    return frame_matrix(audio.samples[t : t + FRAME_SAMPLES], fb, floor)[0]
+    return frame_matrix(audio.samples[t : t + FRAME_SAMPLES])[0]
+
+
+# ---------------------------------------------------------------------------
+# the 40 ms STFT pair Griffin-Lim iterates
+# ---------------------------------------------------------------------------
+
+def stft(x: np.ndarray) -> np.ndarray:
+    """(T, 513) spectra of a 1-D signal's 40 ms Hann frames at hop 320: the
+    transform the full window of `frame_matrix` takes its power from."""
+    return np.fft.rfft(x[_frame_grid(frame_count(len(x)))] * _WIN_FULL, n=N_FFT, axis=-1)
+
+
+def _overlap_add(frames: np.ndarray) -> np.ndarray:
+    """Sum (T, 640) frames at hop 320: output block t (320 samples) gets
+    the second half of frame t-1 and the first half of frame t."""
+    halves = frames.reshape(frames.shape[:-1] + (2, HOP_SAMPLES))
+    out = np.zeros((halves.shape[0] + 1, HOP_SAMPLES), dtype=np.float64)
+    out[1:] += halves[:, 1]
+    out[:-1] += halves[:, 0]
+    return out.reshape(-1)
+
+
+def istft(spec: np.ndarray) -> np.ndarray:
+    """(T+1)*320 samples from (T, 513) spectra, so `stft` of the result has
+    T frames again."""
+    # least-squares overlap-add: sum(w * y_t) / sum(w^2). The divisor is
+    # clamped well away from zero: in the first/last half window the window
+    # support vanishes, and dividing unconstrained inverse-FFT content there
+    # by ~0 would blast a spike into the signal edge.
+    y = np.fft.irfft(spec, n=N_FFT, axis=-1)[:, :FRAME_SAMPLES]
+    wsum = _overlap_add(np.broadcast_to(_WIN_FULL * _WIN_FULL, y.shape))
+    return _overlap_add(y * _WIN_FULL) / np.maximum(wsum, 0.25)

@@ -15,7 +15,7 @@ from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import audio, corpus, inference, model, training
-from .errors import ConfigMismatch, SalientError
+from .errors import SalientError
 from .losses import LossWeights
 from .selfcheck import run_selfcheck
 
@@ -162,11 +162,6 @@ def cmd_reconstruct(args) -> int:
               "will sound rough; 60 is the usual setting")
     params = model.load_checkpoint(args.checkpoint)
     track = inference.import_features(args.features)
-    if track.features.shape[1] != params.config.feature_dim:
-        raise ConfigMismatch(
-            f"feature file has {track.features.shape[1]} dims, "
-            f"checkpoint expects {params.config.feature_dim}"
-        )
     mel = inference.reconstruct_mel(params, track)
     wave = inference.griffin_lim(mel[:, : audio.N_MELS], iterations=args.gl_iters)
     audio.save_wav(wave, args.out)

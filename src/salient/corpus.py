@@ -13,13 +13,14 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import audio
-from .audio import AudioBuffer, MelFilterbank
+from .audio import AudioBuffer
 from .errors import (
     ManifestEmpty,
     MissingFile,
@@ -133,7 +134,7 @@ def _cached_wav(path: Path) -> np.ndarray:
     return hit
 
 
-def _mix_entry_segment(
+def mix_entry(
     seg: np.ndarray, entry: CloneSpec, rng: np.random.Generator, snr_db: float = None
 ) -> AudioBuffer:
     """One noisy version of a clean segment, drawing a fresh segment from each
@@ -156,7 +157,6 @@ def build_clone_batch(
     manifest: Manifest,
     batch_size: int,
     clones: int,
-    fb: MelFilterbank = None,
     rng: np.random.Generator = None,
     snr_jitter_db: float = DEFAULT_SNR_JITTER_DB,
 ) -> CloneBatch:
@@ -175,7 +175,6 @@ def build_clone_batch(
     `training.compute_norm_stats` mix whole utterances, so a quiet segment
     there sits locally further below the noise than any training clone.
     """
-    fb = fb or audio.default_filterbank()
     if rng is None:
         rng = named_stream(manifest.seed, "batch")
     if not manifest.entries:
@@ -202,8 +201,8 @@ def build_clone_batch(
         signals[0] = seg
         for q in range(clones):
             snr_q = entry.snr_db + float(item_rng.uniform(0.0, snr_jitter_db))
-            signals[q + 1] = _mix_entry_segment(seg, entry, item_rng, snr_db=snr_q).samples
-        framed = audio.frame_matrix(signals, fb)
+            signals[q + 1] = mix_entry(seg, entry, item_rng, snr_db=snr_q).samples
+        framed = audio.frame_matrix(signals)
         targets[i] = framed[0]
         inputs[i] = framed[1:]
         meta.append((entry.utterance_id, start))
@@ -378,22 +377,25 @@ def load_manifest(path) -> Manifest:
                     raise ParseError(f"{path}: line {lineno}: seed must be a non-negative integer, got {seed!r}")
                 continue
             raise ParseError(f"{path}: line {lineno}: entry missing 'id'")
-        try:
-            entry = CloneSpec(
-                utterance_id=str(obj["id"]),
-                clean_path=(base / obj["clean"]).resolve(),
-                noise_paths=tuple((base / p).resolve() for p in obj["noises"]),
-                snr_db=float(obj["snr_db"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"{path}: line {lineno}: {exc}") from exc
-        if not math.isfinite(entry.snr_db):
-            raise ParseError(f"{path}: line {lineno}: snr_db must be finite, got {entry.snr_db!r}")
-        if entry.utterance_id in seen:
-            raise ParseError(f"{path}: line {lineno}: duplicate id {entry.utterance_id!r}")
-        if not entry.noise_paths:
-            raise ParseError(f"{path}: line {lineno}: empty noise list")
-        seen.add(entry.utterance_id)
+        uid, clean, noises, snr = (obj.get(k) for k in ("id", "clean", "noises", "snr_db"))
+        for key, ok, want in (
+            ("id", isinstance(uid, str), "a string"),
+            ("clean", isinstance(clean, str), "a string"),
+            ("noises", isinstance(noises, list) and noises and all(isinstance(n, str) for n in noises),
+             "a non-empty array of strings"),
+            ("snr_db", type(snr) in (int, float) and abs(snr) <= sys.float_info.max, "a finite number"),
+        ):
+            if not ok:
+                raise ParseError(f"{path}: line {lineno}: {key} must be {want}, got {obj.get(key)!r}")
+        if uid in seen:
+            raise ParseError(f"{path}: line {lineno}: duplicate id {uid!r}")
+        seen.add(uid)
+        entry = CloneSpec(
+            utterance_id=uid,
+            clean_path=(base / clean).resolve(),
+            noise_paths=tuple((base / n).resolve() for n in noises),
+            snr_db=float(snr),
+        )
         for p in (entry.clean_path, *entry.noise_paths):
             if not p.exists():
                 raise MissingFile(f"{path}: line {lineno}: missing file {p}")

@@ -18,11 +18,12 @@ import numpy as np
 
 from . import audio
 from . import corpus as corpus_mod
-from .audio import AudioBuffer, MelFilterbank
+from .audio import AudioBuffer
 from .corpus import Manifest
 from .errors import (
     BadMagic,
     ConfigMismatch,
+    CorruptFile,
     InvalidIterations,
     ManifestEmpty,
     ShapeMismatch,
@@ -35,14 +36,13 @@ from .seeding import named_stream
 FEATURE_MAGIC = b"SFEA"
 FEATURE_VERSION = 1
 DEFAULT_GL_ITERS = 60
+HOP_MS = 1000 * audio.HOP_SAMPLES // audio.SAMPLE_RATE
 
 
 @dataclass(frozen=True)
 class FeatureTrack:
     features: np.ndarray  # (T, L) float32
-    hop_ms: int = 20
-    source_id: str = ""
-    checkpoint_id: str = ""
+    hop_ms: int = HOP_MS
 
 
 @dataclass
@@ -64,8 +64,7 @@ def extract_features(params: ModelParams, buf: AudioBuffer) -> FeatureTrack:
     """Frame the utterance, normalize, and encode the whole track in one
     causal pass from a zero initial state."""
     frames = normalize(params, audio.frame_matrix(buf))
-    feats = encode_sequence(params, frames)
-    return FeatureTrack(features=feats, checkpoint_id=params_digest(params))
+    return FeatureTrack(features=encode_sequence(params, frames))
 
 
 def reconstruct_mel(params: ModelParams, track: FeatureTrack) -> np.ndarray:
@@ -82,56 +81,24 @@ def reconstruct_mel(params: ModelParams, track: FeatureTrack) -> np.ndarray:
 # Griffin-Lim resynthesis from the 40 ms log-mel block
 # ---------------------------------------------------------------------------
 
-def _stft_mag_phase(x: np.ndarray, n_frames: int, n_fft: int):
-    return np.fft.rfft(x[audio._frame_grid(n_frames)] * audio._WIN_FULL, n=n_fft, axis=1)
-
-
-def _overlap_add(frames: np.ndarray) -> np.ndarray:
-    """Sum (T, 640) frames at hop 320: output block t (320 samples) gets
-    the second half of frame t-1 and the first half of frame t."""
-    halves = frames.reshape(frames.shape[:-1] + (2, audio.HOP_SAMPLES))
-    out = np.zeros((halves.shape[0] + 1, audio.HOP_SAMPLES), dtype=np.float64)
-    out[1:] += halves[:, 1]
-    out[:-1] += halves[:, 0]
-    return out.reshape(-1)
-
-
-def _istft(spec: np.ndarray, n_fft: int) -> np.ndarray:
-    # least-squares overlap-add: sum(w * y_t) / sum(w^2). The divisor is
-    # clamped well away from zero: in the first/last half window the window
-    # support vanishes, and dividing unconstrained inverse-FFT content there
-    # by ~0 would blast a spike into the signal edge.
-    win = audio._WIN_FULL
-    y = np.fft.irfft(spec, n=n_fft, axis=1)[:, : audio.FRAME_SAMPLES]
-    wsum = _overlap_add(np.broadcast_to(win * win, y.shape))
-    return _overlap_add(y * win) / np.maximum(wsum, 0.25)
-
-
-def spectral_residual(x: np.ndarray, target_mag: np.ndarray, n_fft: int = audio.N_FFT) -> float:
+def spectral_residual(x: np.ndarray, target_mag: np.ndarray) -> float:
     """Relative distance between |STFT(x)| and a target magnitude; the
     phase-recovery iteration drives this down."""
-    spec = _stft_mag_phase(x, target_mag.shape[0], n_fft)
-    num = float(np.linalg.norm(np.abs(spec) - target_mag))
+    num = float(np.linalg.norm(np.abs(audio.stft(x)) - target_mag))
     return num / max(float(np.linalg.norm(target_mag)), 1e-12)
 
 
-def mel_to_linear_power(mel_track: np.ndarray, fb: MelFilterbank, floor: float = audio.LOG_FLOOR) -> np.ndarray:
-    """Least-squares linear power spectrum (T, n_fft//2+1) from log-mel rows,
-    via the filterbank pseudo-inverse with a non-negativity clamp."""
+def mel_to_linear_power(mel_track: np.ndarray) -> np.ndarray:
+    """Least-squares linear power spectrum (T, 513) from log-mel rows, via
+    the filterbank pseudo-inverse with a non-negativity clamp."""
     mel_track = np.asarray(mel_track, dtype=np.float64)
-    if mel_track.ndim != 2 or mel_track.shape[1] != fb.n_mels:
-        raise ShapeMismatch(f"expected (T, {fb.n_mels}) log-mel, got {mel_track.shape}")
-    energy = np.maximum(np.exp(mel_track) - floor, 0.0)
-    pinv = np.linalg.pinv(fb.weights)
-    return np.maximum(energy @ pinv.T, 0.0)
+    if mel_track.ndim != 2 or mel_track.shape[1] != audio.N_MELS:
+        raise ShapeMismatch(f"expected (T, {audio.N_MELS}) log-mel, got {mel_track.shape}")
+    energy = np.maximum(np.exp(mel_track) - audio.LOG_FLOOR, 0.0)
+    return np.maximum(energy @ audio.mel_pinv().T, 0.0)
 
 
-def griffin_lim(
-    mel_track: np.ndarray,
-    fb: MelFilterbank = None,
-    iterations: int = DEFAULT_GL_ITERS,
-    floor: float = audio.LOG_FLOOR,
-) -> AudioBuffer:
+def griffin_lim(mel_track: np.ndarray, iterations: int = DEFAULT_GL_ITERS) -> AudioBuffer:
     """Resynthesize audio from a (T, 80) log-mel track of 40 ms blocks.
 
     Iterative phase recovery with 640-sample Hann analysis, 320 hop and a
@@ -141,14 +108,13 @@ def griffin_lim(
     """
     if iterations < 1:
         raise InvalidIterations(f"iterations must be >= 1, got {iterations}")
-    fb = fb or audio.default_filterbank()
-    mag = np.sqrt(mel_to_linear_power(mel_track, fb, floor))
+    mag = np.sqrt(mel_to_linear_power(mel_track))
     rng = np.random.default_rng(0)
-    x = _istft(mag * np.exp(2j * np.pi * rng.random(mag.shape)), fb.n_fft)
+    x = audio.istft(mag * np.exp(2j * np.pi * rng.random(mag.shape)))
     for _ in range(iterations - 1):
-        spec = _stft_mag_phase(x, mag.shape[0], fb.n_fft)
+        spec = audio.stft(x)
         denom = np.maximum(np.abs(spec), 1e-12)
-        x = _istft(mag * (spec / denom), fb.n_fft)
+        x = audio.istft(mag * (spec / denom))
     peak = float(np.max(np.abs(x))) if x.size else 0.0
     if peak > 1e-6:
         x = 0.9 * x / peak
@@ -167,14 +133,14 @@ def track_rmse(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt(np.mean((a - b) ** 2)))
 
 
-def _eval_one(params, entry, snr_list, seed, fb):
+def _eval_one(params, entry, snr_list, seed):
     clean = audio.load_wav(entry.clean_path)
-    clean_frames = audio.frame_matrix(clean, fb)
+    clean_frames = audio.frame_matrix(clean)
     clean_track = extract_features(params, clean)
     rows = []
     for snr_db in snr_list:
         rng = named_stream(seed, f"eval/{entry.utterance_id}/{snr_db}")
-        noisy = corpus_mod._mix_entry_segment(
+        noisy = corpus_mod.mix_entry(
             clean.samples.astype(np.float64), entry, rng, snr_db=snr_db
         )
         noisy_track = extract_features(params, noisy)
@@ -198,11 +164,10 @@ def evaluate(params: ModelParams, manifest: Manifest, snr_list) -> EvalReport:
     the manifest seed; utterances are processed in id order."""
     if not manifest.entries:
         raise ManifestEmpty("cannot evaluate an empty manifest")
-    fb = audio.default_filterbank()
     entries = sorted(manifest.entries, key=lambda e: e.utterance_id)
     snr_list = [float(s) for s in snr_list]
 
-    results = [_eval_one(params, e, snr_list, manifest.seed, fb) for e in entries]
+    results = [_eval_one(params, e, snr_list, manifest.seed) for e in entries]
 
     per_utterance = [row for rows, _ in results for row in rows]
     pooled = np.concatenate([feats for _, feats in results], axis=0).astype(np.float64)
@@ -261,11 +226,14 @@ def import_features(path) -> FeatureTrack:
         version, l, t, hop_ms = struct.unpack("<IIII", head)
         if version != FEATURE_VERSION:
             raise VersionMismatch(f"{path}: feature file version {version}")
+        if hop_ms != HOP_MS:
+            raise ConfigMismatch(f"{path}: hop of {hop_ms} ms, the front end decodes {HOP_MS} ms hops")
         raw = fh.read(4 * t * l)
         if len(raw) != 4 * t * l:
             raise TruncatedFile(f"{path}: expected {t}x{l} values")
-    feats = np.frombuffer(raw, dtype="<f4").reshape(t, l).copy()
-    return FeatureTrack(features=feats, hop_ms=hop_ms, source_id=path.stem)
+        if fh.read(1):
+            raise CorruptFile(f"{path}: trailing bytes after the {t}x{l} values")
+    return FeatureTrack(features=np.frombuffer(raw, dtype="<f4").reshape(t, l).copy())
 
 
 def export_features_csv(track: FeatureTrack, path) -> None:

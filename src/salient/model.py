@@ -57,7 +57,7 @@ class ModelParams:
     std: np.ndarray   # (input_dim,) float32, strictly positive
 
 
-def _param_shapes(cfg: EncoderConfig) -> dict:
+def param_shapes(cfg: EncoderConfig) -> dict:
     h, n, l = cfg.hidden, cfg.input_dim, cfg.feature_dim
     shapes = {}
     d = n
@@ -92,7 +92,7 @@ def init_params(config: EncoderConfig, seed: int) -> ModelParams:
     LSTM forget gate, whose bias starts at 1.0."""
     rng = named_stream(seed, "init")
     tensors = {}
-    for name, shape in _param_shapes(config).items():
+    for name, shape in param_shapes(config).items():
         if name.endswith(".b"):
             b = np.zeros(shape, dtype=np.float32)
             if ".lstm" in name:
@@ -278,7 +278,7 @@ def load_checkpoint(path) -> ModelParams:
         std = tensors.pop("norm.std")
     except KeyError as exc:
         raise VersionMismatch(f"{path}: normalization stats missing") from exc
-    expected = _param_shapes(config)
+    expected = param_shapes(config)
     if set(tensors) != set(expected) or any(tensors[k].shape != expected[k] for k in expected):
         raise VersionMismatch(f"{path}: tensor table does not match config {config}")
     if not np.all(std > 0):

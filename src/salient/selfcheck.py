@@ -41,7 +41,7 @@ def flat_composite_loss(config, inputs, targets, prior, weights):
 
     inputs: (m, Q, T, N); targets: (m, T, N); prior: (m*T, L).
     """
-    shapes = model_mod._param_shapes(config)
+    shapes = model_mod.param_shapes(config)
     names = sorted(shapes)
     sizes = [int(np.prod(shapes[k])) for k in names]
     offsets = np.concatenate([[0], np.cumsum(sizes)])

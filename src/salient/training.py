@@ -27,7 +27,7 @@ from . import corpus as corpus_mod
 from . import losses as losses_mod
 from .autodiff import Tape
 from .corpus import CloneBatch, Manifest, build_clone_batch
-from .errors import InvalidRange, NonFiniteLoss, NonFiniteValue
+from .errors import InvalidRange, ManifestEmpty, NonFiniteLoss, NonFiniteValue
 from .losses import LossBreakdown, LossWeights
 from .model import (
     EncoderConfig,
@@ -194,23 +194,22 @@ def _apply_step(params: ModelParams, batch: CloneBatch, prior: np.ndarray, weigh
 # normalization statistics
 # ---------------------------------------------------------------------------
 
-def compute_norm_stats(manifest: Manifest, seed: int, fb=None) -> tuple:
+def compute_norm_stats(manifest: Manifest, seed: int) -> tuple:
     """Global per-bin mean/std over training frames, clean and one noisy
     version of each utterance pooled."""
-    fb = fb or audio.default_filterbank()
+    if not manifest.entries:
+        raise ManifestEmpty("cannot compute normalization stats from an empty manifest")
     rng = named_stream(seed, "norm")
     count = 0
     acc = np.zeros(audio.FRAME_BINS, dtype=np.float64)
     acc_sq = np.zeros(audio.FRAME_BINS, dtype=np.float64)
     for entry in manifest.entries:
         clean = audio.load_wav(entry.clean_path)
-        for buf in (clean, corpus_mod._mix_entry_segment(clean.samples.astype(np.float64), entry, rng)):
-            frames = audio.frame_matrix(buf, fb)
+        for buf in (clean, corpus_mod.mix_entry(clean.samples.astype(np.float64), entry, rng)):
+            frames = audio.frame_matrix(buf)
             count += frames.shape[0]
             acc += frames.sum(axis=0)
             acc_sq += (frames * frames).sum(axis=0)
-    if count == 0:
-        raise NonFiniteLoss("cannot compute normalization stats from an empty manifest")
     mean = acc / count
     var = np.maximum(acc_sq / count - mean * mean, 0.0)
     std = np.maximum(np.sqrt(var), 1e-6)
@@ -227,12 +226,11 @@ def train(manifest: Manifest, model_config: EncoderConfig, config: TrainConfig) 
     are the scored ones with the smallest average, the earliest on a tie.
     Writes init/best/final checkpoints under config.checkpoint_dir, and a CSV
     loss log there with one flushed row per finished step."""
-    fb = audio.default_filterbank()
     ckpt_dir = Path(config.checkpoint_dir)
     ckpt_dir.mkdir(parents=True, exist_ok=True)
 
     params = init_params(model_config, config.seed)
-    params.mean, params.std = compute_norm_stats(manifest, config.seed, fb)
+    params.mean, params.std = compute_norm_stats(manifest, config.seed)
     init_path = ckpt_dir / "init.ckpt"
     save_checkpoint(params, init_path)
 
@@ -249,7 +247,7 @@ def train(manifest: Manifest, model_config: EncoderConfig, config: TrainConfig) 
             for attempt in range(3):
                 batch_rng = named_stream(config.seed, f"batch/{step}/{attempt}")
                 batch = build_clone_batch(
-                    manifest, config.batch_size, config.clones, fb, batch_rng,
+                    manifest, config.batch_size, config.clones, batch_rng,
                     snr_jitter_db=config.snr_jitter_db,
                 )
                 prior = losses_mod.laplace_prior_sample(

@@ -188,7 +188,7 @@ class TestDspExactness:
         fb = audio.default_filterbank()
         t = np.arange(16000) / audio.SAMPLE_RATE
         sine = audio.AudioBuffer(np.sin(2 * np.pi * 1000.0 * t).astype(np.float32))
-        frame = audio.dual_window_frame(sine, 0, fb)
+        frame = audio.dual_window_frame(sine, 0)
         nearest = int(np.argmin(np.abs(fb.center_hz - 1000.0)))
         argmax_ok = all(int(np.argmax(frame[80 * b : 80 * (b + 1)])) == nearest for b in range(3))
 

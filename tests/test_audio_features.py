@@ -122,81 +122,81 @@ class TestMelFilterbank:
 
 
 class TestDualWindowFrame:
-    def test_all_zero_audio_hits_floor(self, fb):
+    def test_all_zero_audio_hits_floor(self):
         buf = audio.AudioBuffer(np.zeros(640, dtype=np.float32))
-        frame = audio.dual_window_frame(buf, 0, fb, floor=1e-5)
+        frame = audio.dual_window_frame(buf, 0)
         assert frame.shape == (240,)
         assert np.allclose(frame, np.log(1e-5))
 
-    def test_floor_is_lower_bound(self, fb):
+    def test_floor_is_lower_bound(self):
         buf = make_sine(440.0, seconds=0.2)
-        mat = audio.frame_matrix(buf, fb)
+        mat = audio.frame_matrix(buf)
         assert np.all(mat >= np.log(audio.LOG_FLOOR) - 1e-12)
 
     def test_sine_argmax_at_nearest_center(self, fb):
         buf = make_sine(1000.0)
-        frame = audio.dual_window_frame(buf, 0, fb)
+        frame = audio.dual_window_frame(buf, 0)
         nearest = int(np.argmin(np.abs(fb.center_hz - 1000.0)))
         for block in range(3):
             bins = frame[80 * block : 80 * (block + 1)]
             assert int(np.argmax(bins)) == nearest
 
-    def test_doubling_amplitude_adds_log4(self, fb):
+    def test_doubling_amplitude_adds_log4(self):
         quiet = make_sine(1000.0, amplitude=0.25)
         loud = audio.AudioBuffer(2.0 * quiet.samples)
-        f_quiet = audio.dual_window_frame(quiet, 0, fb)
-        f_loud = audio.dual_window_frame(loud, 0, fb)
+        f_quiet = audio.dual_window_frame(quiet, 0)
+        f_loud = audio.dual_window_frame(loud, 0)
         strong = f_quiet > np.log(audio.LOG_FLOOR) + 8.0  # energy >> floor
         assert strong.any()
         diff = f_loud[strong] - f_quiet[strong]
         assert np.allclose(diff, np.log(4.0), atol=1e-3)
 
-    def test_out_of_bounds(self, fb):
+    def test_out_of_bounds(self):
         buf = audio.AudioBuffer(np.zeros(640, dtype=np.float32))
         with pytest.raises(OutOfBounds):
-            audio.dual_window_frame(buf, 1, fb)
+            audio.dual_window_frame(buf, 1)
         with pytest.raises(OutOfBounds):
-            audio.dual_window_frame(buf, -1, fb)
+            audio.dual_window_frame(buf, -1)
 
 
 class TestFraming:
     @pytest.mark.parametrize("n,expected", [(640, 1), (960, 2), (16000, 49)])
-    def test_frame_counts(self, n, expected, fb):
+    def test_frame_counts(self, n, expected):
         buf = audio.AudioBuffer(np.zeros(n, dtype=np.float32))
-        assert audio.frame_matrix(buf, fb).shape[0] == expected
+        assert audio.frame_matrix(buf).shape[0] == expected
 
-    def test_too_short(self, fb):
+    def test_too_short(self):
         with pytest.raises(TooShort):
-            audio.frame_matrix(audio.AudioBuffer(np.zeros(639, dtype=np.float32)), fb)
+            audio.frame_matrix(audio.AudioBuffer(np.zeros(639, dtype=np.float32)))
 
-    def test_matches_single_frame_op_bitwise(self, fb):
+    def test_matches_single_frame_op_bitwise(self):
         rng = np.random.default_rng(7)
         buf = audio.AudioBuffer(rng.uniform(-0.9, 0.9, 2240).astype(np.float32))
-        mat = audio.frame_matrix(buf, fb)
+        mat = audio.frame_matrix(buf)
         for i in range(mat.shape[0]):
-            single = audio.dual_window_frame(buf, i * audio.HOP_SAMPLES, fb)
+            single = audio.dual_window_frame(buf, i * audio.HOP_SAMPLES)
             assert np.array_equal(mat[i], single)
 
     @pytest.mark.parametrize("k,n", [(1, 2240), (3, 2240), (9, 2240), (4, 640)])
-    def test_stacked_rows_match_framing_alone_bitwise(self, fb, k, n):
+    def test_stacked_rows_match_framing_alone_bitwise(self, k, n):
         rng = np.random.default_rng(10)
         signals = rng.uniform(-0.9, 0.9, (k, n)).astype(np.float32)
-        stacked = audio.frame_matrix(signals, fb)
+        stacked = audio.frame_matrix(signals)
         assert stacked.shape == (k, audio.frame_count(n), audio.FRAME_BINS)
         for row, x in zip(stacked, signals):
-            assert np.array_equal(row, audio.frame_matrix(audio.AudioBuffer(x), fb))
+            assert np.array_equal(row, audio.frame_matrix(audio.AudioBuffer(x)))
             if n == audio.FRAME_SAMPLES:
-                assert np.array_equal(row[0], audio.dual_window_frame(audio.AudioBuffer(x), 0, fb))
+                assert np.array_equal(row[0], audio.dual_window_frame(audio.AudioBuffer(x), 0))
 
-    def test_shift_covariance_bitwise(self, fb):
+    def test_shift_covariance_bitwise(self):
         rng = np.random.default_rng(8)
         buf = audio.AudioBuffer(rng.uniform(-0.9, 0.9, 4800).astype(np.float32))
         shifted = audio.AudioBuffer(buf.samples[audio.HOP_SAMPLES :])
-        assert np.array_equal(audio.frame_matrix(shifted, fb), audio.frame_matrix(buf, fb)[1:])
+        assert np.array_equal(audio.frame_matrix(shifted), audio.frame_matrix(buf)[1:])
 
-    def test_determinism_bitwise(self, fb):
+    def test_determinism_bitwise(self):
         buf = make_sine(523.0, seconds=0.3)
-        assert np.array_equal(audio.frame_matrix(buf, fb), audio.frame_matrix(buf, fb))
+        assert np.array_equal(audio.frame_matrix(buf), audio.frame_matrix(buf))
 
 
 class TestParseval:

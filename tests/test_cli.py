@@ -263,7 +263,9 @@ class TestEvalCmd:
         assert code == 1
 
 
-    @pytest.mark.parametrize("line", ['{"seed": "abc"}', '{"seed": null}', '{"seed": 1.5}', "3"])
+    @pytest.mark.parametrize("line", ['{"seed": "abc"}', '{"seed": null}', '{"seed": 1.5}', "3",
+                                      '{"id": "u", "clean": "a.wav", "noises": "a.wav", "snr_db": 5}',
+                                      '{"id": "u", "clean": "a.wav", "noises": ["a.wav"], "snr_db": true}'])
     def test_bad_manifest_line_exits_one(self, cli_run, tmp_path, capsys, line):
         mp = tmp_path / "bad.jsonl"
         mp.write_text(line + "\n")

@@ -1,6 +1,8 @@
 """Mixing accuracy, batch assembly invariants, synthetic corpus properties
 and manifest round trips."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -76,26 +78,26 @@ class TestMixAtSnr:
 
 
 class TestCloneBatch:
-    def test_shapes_and_q_one_boundary(self, tiny_corpus, fb):
+    def test_shapes_and_q_one_boundary(self, tiny_corpus):
         rng = named_stream(5, "b")
-        batch = corpus.build_clone_batch(tiny_corpus, 3, 1, fb, rng)
+        batch = corpus.build_clone_batch(tiny_corpus, 3, 1, rng)
         assert batch.clone_inputs.shape == (3, 1, 6, 240)
         assert batch.clean_targets.shape == (3, 6, 240)
         assert len(batch.meta) == 3
 
-    def test_same_seed_bit_identical(self, tiny_corpus, fb):
-        b1 = corpus.build_clone_batch(tiny_corpus, 4, 3, fb, named_stream(6, "b"))
-        b2 = corpus.build_clone_batch(tiny_corpus, 4, 3, fb, named_stream(6, "b"))
+    def test_same_seed_bit_identical(self, tiny_corpus):
+        b1 = corpus.build_clone_batch(tiny_corpus, 4, 3, named_stream(6, "b"))
+        b2 = corpus.build_clone_batch(tiny_corpus, 4, 3, named_stream(6, "b"))
         assert np.array_equal(b1.clone_inputs, b2.clone_inputs)
         assert np.array_equal(b1.clean_targets, b2.clean_targets)
         assert b1.meta == b2.meta
 
-    def test_targets_are_clean_segment_frames(self, tiny_corpus, fb):
-        batch = corpus.build_clone_batch(tiny_corpus, 2, 2, fb, named_stream(7, "b"))
+    def test_targets_are_clean_segment_frames(self, tiny_corpus):
+        batch = corpus.build_clone_batch(tiny_corpus, 2, 2, named_stream(7, "b"))
         by_id = {e.utterance_id: e for e in tiny_corpus.entries}
         for i, (uid, start) in enumerate(batch.meta):
             seg = audio.load_wav(by_id[uid].clean_path).samples[start : start + corpus.SEGMENT_SAMPLES]
-            expected = audio.frame_matrix(AudioBuffer(seg), fb)
+            expected = audio.frame_matrix(AudioBuffer(seg))
             assert np.array_equal(batch.clean_targets[i], expected)
 
     @staticmethod
@@ -108,21 +110,21 @@ class TestCloneBatch:
             seed=manifest.seed,
         )
 
-    def test_high_snr_clones_match_clean(self, tiny_corpus, fb):
+    def test_high_snr_clones_match_clean(self, tiny_corpus):
         # at +100 dB the noise gain is ~1e-5, but the clean-noise cross term in
         # the power spectrum scales linearly with the gain, so near-floor bins
         # can still move by up to ~2*alpha*sqrt(E_noise/floor) ~ 2e-2
-        batch = corpus.build_clone_batch(self._requiet(tiny_corpus, 100.0), 2, 3, fb, named_stream(8, "b"))
+        batch = corpus.build_clone_batch(self._requiet(tiny_corpus, 100.0), 2, 3, named_stream(8, "b"))
         diff = np.abs(batch.clone_inputs - batch.clean_targets[:, None])
         assert np.max(diff) <= 2e-2
 
-    def test_extreme_snr_clones_numerically_clean(self, tiny_corpus, fb):
+    def test_extreme_snr_clones_numerically_clean(self, tiny_corpus):
         # +160 dB pushes the cross term below 1e-3 on every bin
-        batch = corpus.build_clone_batch(self._requiet(tiny_corpus, 160.0), 2, 3, fb, named_stream(8, "b"))
+        batch = corpus.build_clone_batch(self._requiet(tiny_corpus, 160.0), 2, 3, named_stream(8, "b"))
         diff = np.abs(batch.clone_inputs - batch.clean_targets[:, None])
         assert np.max(diff) <= 1e-3
 
-    def test_residual_noise_draws_uncorrelated(self, tmp_path, fb):
+    def test_residual_noise_draws_uncorrelated(self, tmp_path):
         # white-noise entries: per item, the Q mixtures minus the shared clean
         # segment are independent noise draws
         rng = named_stream(9, "gen")
@@ -136,7 +138,7 @@ class TestCloneBatch:
         seg = audio.load_wav(clean_p).samples[: corpus.SEGMENT_SAMPLES].astype(np.float64)
         residuals = []
         for _ in range(4):
-            mix = corpus._mix_entry_segment(seg, entry, item_rng)
+            mix = corpus.mix_entry(seg, entry, item_rng)
             residuals.append(mix.samples.astype(np.float64) - seg)
         for a in range(4):
             for b in range(a + 1, 4):
@@ -144,11 +146,11 @@ class TestCloneBatch:
                 ncc = np.dot(ra, rb) / (np.linalg.norm(ra) * np.linalg.norm(rb))
                 assert abs(ncc) < 0.2
 
-    def test_empty_manifest(self, fb):
+    def test_empty_manifest(self):
         with pytest.raises(ManifestEmpty):
-            corpus.build_clone_batch(corpus.Manifest((), 0), 2, 2, fb, named_stream(0, "b"))
+            corpus.build_clone_batch(corpus.Manifest((), 0), 2, 2, named_stream(0, "b"))
 
-    def test_too_short_utterance(self, tmp_path, fb):
+    def test_too_short_utterance(self, tmp_path):
         p = tmp_path / "short.wav"
         n = tmp_path / "noise.wav"
         rng = named_stream(11, "gen")
@@ -156,7 +158,7 @@ class TestCloneBatch:
         audio.save_wav(AudioBuffer(rng.uniform(-0.5, 0.5, 16000).astype(np.float32)), n)
         manifest = corpus.Manifest((corpus.CloneSpec("u", p, (n,), 5.0),), 0)
         with pytest.raises(UtteranceTooShort):
-            corpus.build_clone_batch(manifest, 1, 2, fb, named_stream(12, "b"))
+            corpus.build_clone_batch(manifest, 1, 2, named_stream(12, "b"))
 
 
 class TestSynthCorpus:
@@ -244,6 +246,19 @@ class TestManifestIO:
         mp = tmp_path / "m.jsonl"
         mp.write_text(f'{{"seed": 1}}\n{{"id": "u", "clean": "a.wav", "noises": ["a.wav"], "snr_db": {snr}}}\n')
         with pytest.raises(ParseError, match="line 2.*finite"):
+            corpus.load_manifest(mp)
+
+    @pytest.mark.parametrize("key,value", [
+        ("id", None), ("id", 7), ("clean", 3), ("clean", None), ("noises", "a.wav"),
+        ("noises", []), ("noises", ["a.wav", 1]), ("snr_db", True), ("snr_db", "7"), ("snr_db", None), ("snr_db", 10**400),
+    ])
+    def test_mistyped_entry_field_names_lineno(self, tmp_path, key, value):
+        rng = named_stream(15, "gen")
+        audio.save_wav(AudioBuffer(rng.uniform(-0.5, 0.5, 16000).astype(np.float32)), tmp_path / "a.wav")
+        entry = {"id": "u", "clean": "a.wav", "noises": ["a.wav"], "snr_db": 5.0, key: value}
+        mp = tmp_path / "m.jsonl"
+        mp.write_text(f'{{"seed": 1}}\n{json.dumps(entry)}\n')
+        with pytest.raises(ParseError, match=f"line 2: {key}"):
             corpus.load_manifest(mp)
 
     def test_missing_wav(self, tmp_path):

@@ -9,6 +9,7 @@ from salient.audio import AudioBuffer
 from salient.errors import (
     BadMagic,
     ConfigMismatch,
+    CorruptFile,
     InvalidIterations,
     ManifestEmpty,
     TooShort,
@@ -34,7 +35,6 @@ class TestExtract:
         track = inference.extract_features(desk_params, buf)
         assert track.features.shape == (49, 5)
         assert track.hop_ms == 20
-        assert track.checkpoint_id == model.params_digest(desk_params)
 
     def test_prefix_property(self, desk_params):
         buf = make_sine(350.0, seconds=0.5)
@@ -69,65 +69,65 @@ class TestReconstructMel:
 
 
 class TestGriffinLim:
-    def test_silent_track_is_silent(self, fb):
+    def test_silent_track_is_silent(self):
         mel = np.full((20, 80), np.log(audio.LOG_FLOOR))
-        out = inference.griffin_lim(mel, fb, iterations=5)
+        out = inference.griffin_lim(mel, iterations=5)
         assert corpus.rms(out.samples) < 1e-3
 
     def test_sine_peak_recovered_within_one_filter(self, fb):
         buf = make_sine(1000.0, seconds=0.5, amplitude=0.8)
-        mel = audio.frame_matrix(buf, fb)[:, :80]
-        out = inference.griffin_lim(mel, fb, iterations=30)
-        mel_back = audio.frame_matrix(out, fb)[:, :80]
+        mel = audio.frame_matrix(buf)[:, :80]
+        out = inference.griffin_lim(mel, iterations=30)
+        mel_back = audio.frame_matrix(out)[:, :80]
         want = int(np.argmin(np.abs(fb.center_hz - 1000.0)))
         got = int(np.argmax(mel_back.mean(axis=0)))
         assert abs(got - want) <= 1
 
-    def test_more_iterations_reduce_residual(self, fb):
+    def test_more_iterations_reduce_residual(self):
         buf = make_sine(750.0, seconds=0.3, amplitude=0.7)
-        mel = audio.frame_matrix(buf, fb)[:, :80]
-        mag = np.sqrt(inference.mel_to_linear_power(mel, fb))
+        mel = audio.frame_matrix(buf)[:, :80]
+        mag = np.sqrt(inference.mel_to_linear_power(mel))
 
         def residual(iters):
-            out = inference.griffin_lim(mel, fb, iterations=iters)
+            out = inference.griffin_lim(mel, iterations=iters)
             x = out.samples.astype(np.float64)
-            x = x * (np.linalg.norm(mag) / max(np.linalg.norm(np.abs(inference._stft_mag_phase(x, mag.shape[0], fb.n_fft))), 1e-12))
+            x = x * (np.linalg.norm(mag) / max(np.linalg.norm(np.abs(audio.stft(x))), 1e-12))
             return inference.spectral_residual(x, mag)
 
         assert residual(60) < residual(1)
 
-    def test_istft_inverts_stft_away_from_the_edges(self, fb):
+    def test_istft_inverts_stft_away_from_the_edges(self):
         x = named_stream(23, "stft").uniform(-0.9, 0.9, 16000)
-        spec = inference._stft_mag_phase(x, audio.frame_count(len(x)), fb.n_fft)
-        y = inference._istft(spec, fb.n_fft)
+        spec = audio.stft(x)
+        y = audio.istft(spec)
         assert y.shape == x.shape
         hop = audio.HOP_SAMPLES
         assert np.max(np.abs(y[hop:-hop] - x[hop:-hop])) <= 1e-12
 
-    def test_istft_matches_frame_by_frame_overlap_add(self, fb):
-        spec = np.fft.rfft(named_stream(24, "istft").standard_normal((7, audio.FRAME_SAMPLES)), n=fb.n_fft)
+    def test_istft_matches_frame_by_frame_overlap_add(self):
+        spec = np.fft.rfft(named_stream(24, "istft").standard_normal((7, audio.FRAME_SAMPLES)), n=audio.N_FFT)
         win, hop, width = audio._WIN_FULL, audio.HOP_SAMPLES, audio.FRAME_SAMPLES
-        y = np.fft.irfft(spec, n=fb.n_fft, axis=1)[:, :width]
+        y = np.fft.irfft(spec, n=audio.N_FFT, axis=1)[:, :width]
         out = np.zeros(6 * hop + width)
         wsum = np.zeros(6 * hop + width)
         for t in range(7):
             out[t * hop : t * hop + width] += y[t] * win
             wsum[t * hop : t * hop + width] += win * win
-        assert inference._istft(spec, fb.n_fft).tobytes() == (out / np.maximum(wsum, 0.25)).tobytes()
+        assert audio.istft(spec).tobytes() == (out / np.maximum(wsum, 0.25)).tobytes()
 
-    def test_invalid_iterations(self, fb):
+    def test_invalid_iterations(self):
         with pytest.raises(InvalidIterations):
-            inference.griffin_lim(np.zeros((5, 80)), fb, iterations=0)
+            inference.griffin_lim(np.zeros((5, 80)), iterations=0)
 
     def test_pinv_consistency(self, fb):
-        pinv = np.linalg.pinv(fb.weights)
+        pinv = audio.mel_pinv()
         err = np.max(np.abs(fb.weights @ pinv @ fb.weights - fb.weights))
         assert err <= 1e-6
 
-    def test_output_peak_normalized(self, fb):
+    def test_output_peak_normalized(self):
         buf = make_sine(300.0, seconds=0.3, amplitude=0.9)
-        mel = audio.frame_matrix(buf, fb)[:, :80]
-        out = inference.griffin_lim(mel, fb, iterations=10)
+        mel = audio.frame_matrix(buf)[:, :80]
+        out = inference.griffin_lim(mel, iterations=10)
         assert np.max(np.abs(out.samples)) == pytest.approx(0.9, abs=1e-4)
 
 
@@ -192,4 +192,17 @@ class TestFeatureFiles:
         raw = p.read_bytes()
         p.write_bytes(raw[:-5])
         with pytest.raises(TruncatedFile):
+            inference.import_features(p)
+
+    def test_trailing_bytes(self, tmp_path):
+        p = tmp_path / "t.feat"
+        inference.export_features(inference.FeatureTrack(features=np.zeros((9, 4), dtype=np.float32)), p)
+        p.write_bytes(p.read_bytes() + b"\x00" * 8)
+        with pytest.raises(CorruptFile, match="trailing"):
+            inference.import_features(p)
+
+    def test_hop_other_than_20_ms(self, tmp_path):
+        p = tmp_path / "t.feat"
+        inference.export_features(inference.FeatureTrack(features=np.zeros((9, 4), dtype=np.float32), hop_ms=10), p)
+        with pytest.raises(ConfigMismatch, match="10 ms"):
             inference.import_features(p)

@@ -10,8 +10,8 @@ import pytest
 from salient import autodiff as ad
 from salient import losses, model, training
 from salient.autodiff import Tape
-from salient.corpus import CloneBatch
-from salient.errors import InvalidRange, NonFiniteLoss
+from salient.corpus import CloneBatch, Manifest
+from salient.errors import InvalidRange, ManifestEmpty, NonFiniteLoss
 from salient.losses import LossBreakdown, LossWeights
 from salient.seeding import named_stream
 
@@ -173,6 +173,11 @@ class TestTrainLoop:
             base.update(kw)
             return training.TrainConfig(**base)
         return make
+
+    def test_empty_manifest(self, quick_cfg):
+        cfg = model.EncoderConfig(lstm_layers=1, fc_layers=1, hidden=8, feature_dim=3, input_dim=240)
+        with pytest.raises(ManifestEmpty):
+            training.train(Manifest((), 0), cfg, quick_cfg())
 
     def test_log_rows_equal_steps_and_monotone(self, tiny_corpus, quick_cfg):
         cfg = model.EncoderConfig(lstm_layers=1, fc_layers=1, hidden=8, feature_dim=3, input_dim=240)
