@@ -4,8 +4,9 @@ Every 40 ms analysis frame (640 samples at 16 kHz, 20 ms hop) yields 240
 log-mel bins: 80 from the full 40 ms window plus 80 from each of two 20 ms
 sub-windows placed at 5-25 ms and 15-35 ms inside the frame. All three
 windows are Hann-weighted, zero-padded to a single 1024-point FFT so one
-80-band filterbank serves them all. The front end is fixed: its constants
-below are what every checkpoint's normalization statistics were taken with.
+80-band filterbank serves them all; framing runs in float32. The front end
+is fixed: its constants below are what every checkpoint's normalization
+statistics were taken with.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
+import scipy.sparse
 from scipy.io import wavfile
 
 from .errors import (
@@ -45,7 +48,8 @@ def _hann(n: int) -> np.ndarray:
 
 
 _WIN_FULL = _hann(FRAME_SAMPLES)
-_WIN_SUB = _hann(SUB_SAMPLES)
+_WIN_FULL32 = _WIN_FULL.astype(np.float32)
+_WIN_SUB32 = _hann(SUB_SAMPLES).astype(np.float32)
 
 
 @dataclass(frozen=True)
@@ -70,15 +74,7 @@ class MelFilterbank:
     """Triangular filters with centers equally spaced on the mel scale."""
 
     weights: np.ndarray          # (n_mels, n_fft//2 + 1), non-negative
-    fmin_hz: float
-    fmax_hz: float
-    n_fft: int
-    sample_rate_hz: int
     center_hz: np.ndarray        # (n_mels,) peak frequency of each filter
-
-    @property
-    def n_mels(self) -> int:
-        return self.weights.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -157,14 +153,7 @@ def build_mel_filterbank(
             raise InvalidRange(
                 f"mel filter {i} has no FFT-bin support; lower n_mels or raise n_fft"
             )
-    return MelFilterbank(
-        weights=weights,
-        fmin_hz=float(fmin_hz),
-        fmax_hz=float(fmax_hz),
-        n_fft=int(n_fft),
-        sample_rate_hz=int(sample_rate_hz),
-        center_hz=mel_to_hz(mel_pts[1:-1]),
-    )
+    return MelFilterbank(weights=weights, center_hz=mel_to_hz(mel_pts[1:-1]))
 
 
 @functools.cache
@@ -179,22 +168,30 @@ def mel_pinv() -> np.ndarray:
     return np.linalg.pinv(default_filterbank().weights)
 
 
+@functools.cache
+def _mel_csr() -> scipy.sparse.csr_array:
+    """The default weights as a float32 CSR matrix, built on first use: only
+    framing needs it."""
+    return scipy.sparse.csr_array(default_filterbank().weights.astype(np.float32))
+
+
 # ---------------------------------------------------------------------------
 # framing
 # ---------------------------------------------------------------------------
 
 def _logmel_rows(segments: np.ndarray, window: np.ndarray) -> np.ndarray:
-    """(..., 80) log-mel rows for (..., win) signal segments.
+    """(..., 80) float32 log-mel rows for (..., win) float32 signal segments.
 
-    The FFT runs batched (bit-identical to one call per row); the mel
-    projection stays per-row so that a row's bits do not depend on how many
-    rows are framed together.
+    The FFT and the sparse projection run once for all rows, and both are
+    bit-identical to one call per row: the FFT transforms each row alone,
+    and the CSR kernel sums each band's nonzeros in one fixed order for
+    every row. So a row's bits do not depend on how many rows are framed
+    together (a dense GEMM would block the rows and break that).
     """
-    spectrum = np.fft.rfft(segments * window, n=N_FFT, axis=-1)
+    spectrum = scipy.fft.rfft(segments * window, n=N_FFT, axis=-1)
     power = spectrum.real**2 + spectrum.imag**2
-    weights = default_filterbank().weights
-    mel = np.stack([weights @ p for p in power.reshape(-1, power.shape[-1])])
-    return np.log(mel.reshape(power.shape[:-1] + (N_MELS,)) + LOG_FLOOR)
+    mel = (_mel_csr() @ power.reshape(-1, power.shape[-1]).T).T
+    return np.log(mel.reshape(power.shape[:-1] + (N_MELS,)) + np.float32(LOG_FLOOR))
 
 
 def _frame_grid(n_frames: int) -> np.ndarray:
@@ -217,13 +214,13 @@ def frame_matrix(signal) -> np.ndarray:
     x = signal.samples if isinstance(signal, AudioBuffer) else np.asarray(signal)
     if x.shape[-1] < FRAME_SAMPLES:
         raise TooShort(f"need at least {FRAME_SAMPLES} samples, got {x.shape[-1]}")
-    full = x.astype(np.float64)[..., _frame_grid(frame_count(x.shape[-1]))]
+    full = x.astype(np.float32, copy=False)[..., _frame_grid(frame_count(x.shape[-1]))]
     sub1, sub2 = (full[..., k : k + SUB_SAMPLES] for k in SUB_OFFSETS)
     return np.concatenate(
         [
-            _logmel_rows(full, _WIN_FULL),
-            _logmel_rows(sub1, _WIN_SUB),
-            _logmel_rows(sub2, _WIN_SUB),
+            _logmel_rows(full, _WIN_FULL32),
+            _logmel_rows(sub1, _WIN_SUB32),
+            _logmel_rows(sub2, _WIN_SUB32),
         ],
         axis=-1,
     )
@@ -244,7 +241,11 @@ def dual_window_frame(audio: AudioBuffer, frame_start_sample: int) -> np.ndarray
 def stft(x: np.ndarray) -> np.ndarray:
     """(T, 513) spectra of a 1-D signal's 40 ms Hann frames at hop 320: the
     transform the full window of `frame_matrix` takes its power from."""
-    return np.fft.rfft(x[_frame_grid(frame_count(len(x)))] * _WIN_FULL, n=N_FFT, axis=-1)
+    # padded here, not by rfft(n=N_FFT), which would copy every frame once more
+    n = frame_count(len(x))
+    frames = np.zeros((n, N_FFT))
+    np.multiply(x[_frame_grid(n)], _WIN_FULL, out=frames[:, :FRAME_SAMPLES])
+    return scipy.fft.rfft(frames, axis=-1)
 
 
 def _overlap_add(frames: np.ndarray) -> np.ndarray:
@@ -264,6 +265,6 @@ def istft(spec: np.ndarray) -> np.ndarray:
     # clamped well away from zero: in the first/last half window the window
     # support vanishes, and dividing unconstrained inverse-FFT content there
     # by ~0 would blast a spike into the signal edge.
-    y = np.fft.irfft(spec, n=N_FFT, axis=-1)[:, :FRAME_SAMPLES]
+    y = scipy.fft.irfft(spec, n=N_FFT, axis=-1)[:, :FRAME_SAMPLES]
     wsum = _overlap_add(np.broadcast_to(_WIN_FULL * _WIN_FULL, y.shape))
     return _overlap_add(y * _WIN_FULL) / np.maximum(wsum, 0.25)

@@ -59,8 +59,8 @@ class Manifest:
 class CloneBatch:
     """m items x Q noisy versions of 6-frame segments, plus clean targets."""
 
-    clone_inputs: np.ndarray   # (m, Q, 6, 240) log-mel
-    clean_targets: np.ndarray  # (m, 6, 240) log-mel of the shared clean segment
+    clone_inputs: np.ndarray   # (m, Q, 6, 240) float32 log-mel
+    clean_targets: np.ndarray  # (m, 6, 240) float32 log-mel of the shared clean segment
     meta: tuple                # (utterance_id, segment_start_sample) per item
 
 
@@ -143,7 +143,7 @@ def mix_entry(
     for p in entry.noise_paths:
         total += _noise_segment(_cached_wav(p), len(seg), rng).astype(np.float64)
     return mix_at_snr(
-        AudioBuffer(seg.astype(np.float32)),
+        AudioBuffer(seg),
         AudioBuffer(total.astype(np.float32)),
         entry.snr_db if snr_db is None else snr_db,
         rng,
@@ -181,8 +181,8 @@ def build_clone_batch(
         raise ManifestEmpty("manifest has no entries")
 
     seeds = child_seeds(rng, batch_size)
-    inputs = np.empty((batch_size, clones, CLONE_FRAMES, audio.FRAME_BINS), dtype=np.float64)
-    targets = np.empty((batch_size, CLONE_FRAMES, audio.FRAME_BINS), dtype=np.float64)
+    inputs = np.empty((batch_size, clones, CLONE_FRAMES, audio.FRAME_BINS), dtype=np.float32)
+    targets = np.empty((batch_size, CLONE_FRAMES, audio.FRAME_BINS), dtype=np.float32)
     meta = []
     for i in range(batch_size):
         item_rng = np.random.default_rng(int(seeds[i]))

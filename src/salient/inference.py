@@ -41,8 +41,7 @@ HOP_MS = 1000 * audio.HOP_SAMPLES // audio.SAMPLE_RATE
 
 @dataclass(frozen=True)
 class FeatureTrack:
-    features: np.ndarray  # (T, L) float32
-    hop_ms: int = HOP_MS
+    features: np.ndarray  # (T, L) float32, one row per HOP_MS
 
 
 @dataclass
@@ -140,9 +139,7 @@ def _eval_one(params, entry, snr_list, seed):
     rows = []
     for snr_db in snr_list:
         rng = named_stream(seed, f"eval/{entry.utterance_id}/{snr_db}")
-        noisy = corpus_mod.mix_entry(
-            clean.samples.astype(np.float64), entry, rng, snr_db=snr_db
-        )
+        noisy = corpus_mod.mix_entry(clean.samples, entry, rng, snr_db=snr_db)
         noisy_track = extract_features(params, noisy)
         recon = reconstruct_mel(params, noisy_track)
         rows.append(
@@ -210,7 +207,7 @@ def export_features(track: FeatureTrack, path) -> None:
     t, l = feats.shape
     with open(path, "wb") as fh:
         fh.write(FEATURE_MAGIC)
-        fh.write(struct.pack("<IIII", FEATURE_VERSION, l, t, track.hop_ms))
+        fh.write(struct.pack("<IIII", FEATURE_VERSION, l, t, HOP_MS))
         fh.write(feats.tobytes())
 
 
@@ -238,7 +235,7 @@ def import_features(path) -> FeatureTrack:
 
 def export_features_csv(track: FeatureTrack, path) -> None:
     t, l = track.features.shape
-    lines = [f"# L={l},T={t},hop_ms={track.hop_ms}"]
+    lines = [f"# L={l},T={t},hop_ms={HOP_MS}"]
     for row in track.features:
         lines.append(",".join(repr(float(v)) for v in row))
     Path(path).write_text("\n".join(lines) + "\n")

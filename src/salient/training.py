@@ -205,11 +205,11 @@ def compute_norm_stats(manifest: Manifest, seed: int) -> tuple:
     acc_sq = np.zeros(audio.FRAME_BINS, dtype=np.float64)
     for entry in manifest.entries:
         clean = audio.load_wav(entry.clean_path)
-        for buf in (clean, corpus_mod.mix_entry(clean.samples.astype(np.float64), entry, rng)):
+        for buf in (clean, corpus_mod.mix_entry(clean.samples, entry, rng)):
             frames = audio.frame_matrix(buf)
             count += frames.shape[0]
-            acc += frames.sum(axis=0)
-            acc_sq += (frames * frames).sum(axis=0)
+            acc += frames.sum(axis=0, dtype=np.float64)
+            acc_sq += np.square(frames, dtype=np.float64).sum(axis=0)
     mean = acc / count
     var = np.maximum(acc_sq / count - mean * mean, 0.0)
     std = np.maximum(np.sqrt(var), 1e-6)

@@ -92,7 +92,7 @@ class TestMelFilterbank:
 
     def test_full_coverage_between_centers(self, fb):
         # every FFT bin between the first and last center has positive weight
-        freqs = np.arange(fb.weights.shape[1]) * (fb.sample_rate_hz / fb.n_fft)
+        freqs = np.arange(fb.weights.shape[1]) * (audio.SAMPLE_RATE / audio.N_FFT)
         inside = (freqs >= fb.center_hz[0]) & (freqs <= fb.center_hz[-1])
         column_sums = fb.weights.sum(axis=0)
         assert np.all(column_sums[inside] > 0.0)
@@ -177,16 +177,28 @@ class TestFraming:
             single = audio.dual_window_frame(buf, i * audio.HOP_SAMPLES)
             assert np.array_equal(mat[i], single)
 
-    @pytest.mark.parametrize("k,n", [(1, 2240), (3, 2240), (9, 2240), (4, 640)])
+    # 1..17 signals of 1, 2 and 6 frames: row counts on every side of the
+    # FFT's and the sparse kernel's SIMD widths, remainders included
+    @pytest.mark.parametrize("n", [640, 960, 2240])
+    @pytest.mark.parametrize("k", range(1, 18))
     def test_stacked_rows_match_framing_alone_bitwise(self, k, n):
         rng = np.random.default_rng(10)
         signals = rng.uniform(-0.9, 0.9, (k, n)).astype(np.float32)
         stacked = audio.frame_matrix(signals)
         assert stacked.shape == (k, audio.frame_count(n), audio.FRAME_BINS)
+        assert stacked.dtype == np.float32
         for row, x in zip(stacked, signals):
             assert np.array_equal(row, audio.frame_matrix(audio.AudioBuffer(x)))
             if n == audio.FRAME_SAMPLES:
                 assert np.array_equal(row[0], audio.dual_window_frame(audio.AudioBuffer(x), 0))
+
+    def test_sparse_projection_matches_dense_weights(self, fb):
+        rng = np.random.default_rng(11)
+        segments = rng.uniform(-0.9, 0.9, (37, audio.FRAME_SAMPLES)) * audio._WIN_FULL
+        power = (np.abs(np.fft.rfft(segments, n=audio.N_FFT)) ** 2).astype(np.float32)
+        sparse = (audio._mel_csr() @ power.T).T
+        assert sparse.dtype == np.float32
+        np.testing.assert_allclose(sparse, power.astype(np.float64) @ fb.weights.T, rtol=1e-5)
 
     def test_shift_covariance_bitwise(self):
         rng = np.random.default_rng(8)

@@ -83,6 +83,7 @@ class TestCloneBatch:
         batch = corpus.build_clone_batch(tiny_corpus, 3, 1, rng)
         assert batch.clone_inputs.shape == (3, 1, 6, 240)
         assert batch.clean_targets.shape == (3, 6, 240)
+        assert batch.clone_inputs.dtype == batch.clean_targets.dtype == np.float32
         assert len(batch.meta) == 3
 
     def test_same_seed_bit_identical(self, tiny_corpus):

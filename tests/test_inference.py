@@ -1,6 +1,8 @@
 """Feature extraction, mel reconstruction, Griffin-Lim behavior, evaluation
 determinism and feature-file round trips."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -34,7 +36,6 @@ class TestExtract:
         buf = make_sine(440.0, seconds=1.0)
         track = inference.extract_features(desk_params, buf)
         assert track.features.shape == (49, 5)
-        assert track.hop_ms == 20
 
     def test_prefix_property(self, desk_params):
         buf = make_sine(350.0, seconds=0.5)
@@ -166,7 +167,7 @@ class TestFeatureFiles:
         inference.export_features(track, p)
         back = inference.import_features(p)
         assert np.array_equal(back.features, track.features)
-        assert back.hop_ms == track.hop_ms
+        assert struct.unpack("<IIII", p.read_bytes()[4:20]) == (inference.FEATURE_VERSION, 12, 40, 20)
 
     def test_csv_shape_and_header(self, tmp_path):
         rng = named_stream(24, "ff")
@@ -203,6 +204,7 @@ class TestFeatureFiles:
 
     def test_hop_other_than_20_ms(self, tmp_path):
         p = tmp_path / "t.feat"
-        inference.export_features(inference.FeatureTrack(features=np.zeros((9, 4), dtype=np.float32), hop_ms=10), p)
+        header = inference.FEATURE_MAGIC + struct.pack("<IIII", inference.FEATURE_VERSION, 4, 9, 10)
+        p.write_bytes(header + np.zeros((9, 4), dtype="<f4").tobytes())
         with pytest.raises(ConfigMismatch, match="10 ms"):
             inference.import_features(p)
