@@ -12,7 +12,7 @@ values raise immediately.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.special import expit
@@ -165,32 +165,45 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
+    """a - b, where b's axis-1 length may divide a's: b is then subtracted
+    from each of the Q = a.shape[1] // b.shape[1] consecutive (clone-major)
+    blocks of a's axis 1; equal shapes are the case Q = 1. The backward sums
+    the blocks' gradients into b, and only when b needs one."""
     tape = _check_tape(a, b)
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"sub: {a.shape} vs {b.shape}")
+    sa, sb = a.shape, b.shape
+    q = sa[1] // sb[1] if len(sa) == len(sb) >= 2 and sb[1] else 1
+    if sa != (sb if q == 1 else sb[:1] + (q * sb[1],) + sb[2:]):
+        raise ShapeMismatch(f"sub: {sa} vs {sb}")
     ia, ib = a.idx, b.idx
+    need_b = tape._needs[ib]
+    blocks = sb[:1] + (q,) + sb[1:]
 
     def bwd(g, acc):
         _acc(acc, ia, g)
-        _acc(acc, ib, -g)
+        if need_b:
+            _acc(acc, ib, -g if q == 1 else -g.reshape(blocks).sum(axis=1))
 
-    return tape._record(a.data - b.data, "sub", (ia, ib), bwd)
+    out = a.data - b.data if q == 1 else (a.data.reshape(blocks) - b.data[:, None]).reshape(sa)
+    return tape._record(out, "sub", (ia, ib), bwd)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """(M, K) @ (K, N), or a time-major (T, M, K) @ (K, N), which numpy runs
-    as one product per slice, so each slice equals its own 2-D product."""
-    tape = _check_tape(a, b)
-    if a.data.ndim not in (2, 3) or b.data.ndim != 2 or a.shape[-1] != b.shape[0]:
-        raise ShapeMismatch(f"matmul: {a.shape} @ {b.shape}")
-    ia, ib = a.idx, b.idx
-    da, db = a.data, b.data
+def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b for x (M, K), or a time-major (T, M, K) that numpy runs as
+    one product per slice, so each slice equals its own 2-D product; w is
+    (K, N) and b (N,)."""
+    tape = _check_tape(x, w, b)
+    if x.data.ndim not in (2, 3) or w.data.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeMismatch(f"dense: {x.shape} @ {w.shape} + {b.shape}")
+    ix, iw, ib = x.idx, w.idx, b.idx
+    dx, dw = x.data, w.data
+    lead = tuple(range(dx.ndim - 1))
 
     def bwd(g, acc):
-        _acc(acc, ia, g @ db.T)
-        _acc(acc, ib, da.reshape(-1, db.shape[0]).T @ g.reshape(-1, db.shape[1]))
+        _acc(acc, ib, g.sum(axis=lead))
+        _acc(acc, ix, g @ dw.T)
+        _acc(acc, iw, dx.reshape(-1, dw.shape[0]).T @ g.reshape(-1, dw.shape[1]))
 
-    return tape._record(da @ db, "matmul", (ia, ib), bwd)
+    return tape._record(dx @ dw + b.data, "dense", (ix, iw, ib), bwd)
 
 
 def lstm(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
@@ -276,39 +289,6 @@ def imq_mmd(z: Tensor, y: np.ndarray, c: float) -> Tensor:
         _acc(acc, iz, g * ((w.sum(axis=1) + v.sum(axis=1))[:, None] * dz - w @ dz - v @ y))
 
     return tape._record(out, "imq_mmd", (iz,), bwd)
-
-
-def bias_add(x: Tensor, b: Tensor) -> Tensor:
-    """Add a 1-D bias along the last axis (broadcast over leading axes)."""
-    tape = _check_tape(x, b)
-    if b.data.ndim != 1 or x.shape[-1] != b.shape[0]:
-        raise ShapeMismatch(f"bias_add: {x.shape} + {b.shape}")
-    ix, ib = x.idx, b.idx
-    lead = tuple(range(x.data.ndim - 1))
-
-    def bwd(g, acc):
-        _acc(acc, ix, g)
-        _acc(acc, ib, g.sum(axis=lead) if lead else g)
-
-    return tape._record(x.data + b.data, "bias_add", (ix, ib), bwd)
-
-
-def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
-    if not parts:
-        raise ShapeMismatch("concat: empty input list")
-    tape = _check_tape(*parts)
-    idxs = tuple(p.idx for p in parts)
-    sizes = [p.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def bwd(g, acc):
-        for k, idx in enumerate(idxs):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(offsets[k], offsets[k + 1])
-            _acc(acc, idx, g[tuple(sl)])
-
-    out = np.concatenate([p.data for p in parts], axis=axis)
-    return tape._record(out, "concat", idxs, bwd)
 
 
 def slice_(x: Tensor, axis: int, start: int, stop: int) -> Tensor:

@@ -157,7 +157,7 @@ def build_clone_batch(
     manifest: Manifest,
     batch_size: int,
     clones: int,
-    rng: np.random.Generator = None,
+    rng: np.random.Generator,
     snr_jitter_db: float = DEFAULT_SNR_JITTER_DB,
 ) -> CloneBatch:
     """Sample a training batch: per item, one clean 6-frame segment and Q
@@ -175,8 +175,6 @@ def build_clone_batch(
     `training.compute_norm_stats` mix whole utterances, so a quiet segment
     there sits locally further below the noise than any training clone.
     """
-    if rng is None:
-        rng = named_stream(manifest.seed, "batch")
     if not manifest.entries:
         raise ManifestEmpty("manifest has no entries")
 

@@ -10,6 +10,7 @@ keeps the whole pipeline audible at desk scale.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -225,11 +226,12 @@ def import_features(path) -> FeatureTrack:
             raise VersionMismatch(f"{path}: feature file version {version}")
         if hop_ms != HOP_MS:
             raise ConfigMismatch(f"{path}: hop of {hop_ms} ms, the front end decodes {HOP_MS} ms hops")
-        raw = fh.read(4 * t * l)
-        if len(raw) != 4 * t * l:
-            raise TruncatedFile(f"{path}: expected {t}x{l} values")
-        if fh.read(1):
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if 4 * t * l > left:
+            raise TruncatedFile(f"{path}: expected {t}x{l} values, {left} bytes left")
+        if 4 * t * l < left:
             raise CorruptFile(f"{path}: trailing bytes after the {t}x{l} values")
+        raw = fh.read(4 * t * l)
     return FeatureTrack(features=np.frombuffer(raw, dtype="<f4").reshape(t, l).copy())
 
 

@@ -160,20 +160,20 @@ def laplace_prior_sample(count: int, dim: int, rng: np.random.Generator) -> np.n
 # tape graph builders (training path)
 # ---------------------------------------------------------------------------
 
-def equivalence_loss_graph(z: Tensor, clones: int, items: int) -> Tensor:
+def equivalence_loss_graph(z: Tensor, items: int) -> Tensor:
     """z: time-major features (T, Q*m, L) in clone-major row order (clone q
-    occupies rows [q*m, (q+1)*m))."""
-    if clones < 2:
-        raise QTooSmall(f"need at least 2 clones, got {clones}")
+    occupies rows [q*m, (q+1)*m)), with m = items; clone 1 is the reference
+    every other clone is compared against."""
+    if z.shape[1] < 2 * items:
+        raise QTooSmall(f"need at least 2 clones of {items} items, got {z.shape[1]} rows")
     ref = ad.slice_(z, 1, 0, items)
-    others = ad.slice_(z, 1, items, clones * items)
-    return ad.sub(others, ad.concat([ref] * (clones - 1), axis=1)).sqnorm()
+    return ad.sub(ad.slice_(z, 1, items, z.shape[1]), ref).sqnorm()
 
 
-def decoder_loss_graph(dec: Tensor, targets: np.ndarray, clones: int) -> Tensor:
+def decoder_loss_graph(dec: Tensor, targets: np.ndarray) -> Tensor:
     """dec: time-major reconstructions (T, Q*m, N), clone-major; targets:
     the clean frames (T, m, N), shared by every clone, as a constant."""
-    return ad.sub(dec, dec.tape.constant(np.concatenate([targets] * clones, axis=1))).sqnorm()
+    return ad.sub(dec, dec.tape.constant(targets)).sqnorm()
 
 
 def mmd_sq_graph(z: Tensor, y: np.ndarray, weights: LossWeights) -> Tensor:

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import hashlib
 import io
+import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -125,7 +127,7 @@ def denormalize(params: ModelParams, frames: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _dense(seq: Tensor, leaves: dict, name: str) -> Tensor:
-    return ad.bias_add(ad.matmul(seq, leaves[f"{name}.w"]), leaves[f"{name}.b"])
+    return ad.dense(seq, leaves[f"{name}.w"], leaves[f"{name}.b"])
 
 
 def _lstm_stack(seq: Tensor, leaves: dict, prefix: str, layers: int) -> Tensor:
@@ -222,10 +224,12 @@ def params_digest(params: ModelParams) -> str:
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise TruncatedFile(f"checkpoint ended while reading {what}")
-    return data
+    """n bytes, checked against the bytes left in the file before reading,
+    so a header that claims more than the file holds allocates nothing."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if n > left:
+        raise TruncatedFile(f"checkpoint claims {n} bytes of {what}, {left} left")
+    return fh.read(n)
 
 
 def _read_text(fh, n: int, what: str, path) -> str:
@@ -268,7 +272,7 @@ def load_checkpoint(path) -> ModelParams:
             name = _read_text(fh, name_len, "tensor name", path)
             (rank,) = struct.unpack("<I", _read_exact(fh, 4, f"{name} rank"))
             dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, f"{name} dims"))
-            raw = _read_exact(fh, 4 * int(np.prod(dims)), f"{name} data")
+            raw = _read_exact(fh, 4 * math.prod(dims), f"{name} data")
             if name in tensors:
                 raise CorruptFile(f"{path}: tensor {name!r} appears more than once")
             tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()

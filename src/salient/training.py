@@ -96,28 +96,33 @@ class TrainResult:
 # optimizer
 # ---------------------------------------------------------------------------
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class Adam:
-    def __init__(self, tensors: dict, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+    def __init__(self, tensors: dict, lr: float):
+        self.lr = lr
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in tensors.items()}
         self.v = {k: np.zeros_like(v) for k, v in tensors.items()}
 
     def step(self, tensors: dict, grads: dict) -> None:
         self.t += 1
-        c1 = 1.0 - self.beta1**self.t
-        c2 = 1.0 - self.beta2**self.t
+        c1 = 1.0 - ADAM_BETA1**self.t
+        c2 = 1.0 - ADAM_BETA2**self.t
         for name in sorted(tensors):
             g = grads.get(name)
             if g is None:
                 continue
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            tensors[name] -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * (g * g)
+            tensors[name] -= self.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -141,13 +146,13 @@ def step_objective(tape: Tape, leaves: dict, config: EncoderConfig, inputs: np.n
     x = tape.constant(inputs.transpose(2, 1, 0, 3).reshape(t_frames, q_clones * m, n_bins))
 
     z = encoder_graph(leaves, config, x)
-    d_e_sum = losses_mod.equivalence_loss_graph(z, q_clones, m)
+    d_e_sum = losses_mod.equivalence_loss_graph(z, m)
     d_e = ad.scale(d_e_sum, 1.0 / (m * (q_clones - 1) * t_frames * config.feature_dim))
 
     pooled = ad.reshape(ad.slice_(z, 1, 0, m), (t_frames * m, config.feature_dim))
     d_mmd = losses_mod.mmd_sq_graph(pooled, prior, weights)
 
-    d_d_sum = losses_mod.decoder_loss_graph(decoder_graph(leaves, config, z), targets.transpose(1, 0, 2), q_clones)
+    d_d_sum = losses_mod.decoder_loss_graph(decoder_graph(leaves, config, z), targets.transpose(1, 0, 2))
     d_d = ad.scale(d_d_sum, 1.0 / (m * q_clones * t_frames * n_bins))
 
     d_global = ad.add(

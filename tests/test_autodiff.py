@@ -23,18 +23,24 @@ def t64():
 
 
 _W_3D = np.random.default_rng(7).standard_normal((4, 3))
+_B_3D = np.random.default_rng(8).standard_normal(3)
+_REF_3D = np.random.default_rng(9).standard_normal((2, 3, 2))
 
 
-def _packed_lstm(v, steps, rows, inputs, hidden):
-    """ad.lstm with x (T, B, D), wx, wh and b all sliced from one flat
-    vector, so one check covers every operand."""
-    shapes = [(steps, rows, inputs), (inputs, 4 * hidden), (hidden, 4 * hidden), (4 * hidden,)]
+def _unpack(v, *shapes):
+    """Consecutive slices of the flat vector v, one per shape, so one check
+    covers every operand of an op."""
     parts, lo = [], 0
     for shape in shapes:
         hi = lo + int(np.prod(shape))
         parts.append(ad.reshape(ad.slice_(v, 0, lo, hi), shape))
         lo = hi
-    return ad.lstm(*parts)
+    return parts
+
+
+def _packed_lstm(v, steps, rows, inputs, hidden):
+    """ad.lstm with x (T, B, D), wx, wh and b all sliced from one vector."""
+    return ad.lstm(*_unpack(v, (steps, rows, inputs), (inputs, 4 * hidden), (hidden, 4 * hidden), (4 * hidden,)))
 
 
 def _packed_imq_mmd(v, rows, dim):
@@ -44,10 +50,9 @@ def _packed_imq_mmd(v, rows, dim):
     return ad.imq_mmd(z, v.data[rows * dim :].reshape(rows, dim), 2.0 * dim)
 
 
-def _packed_bias_add(v):
-    """ad.bias_add over a time-major (T, B, H) block, both operands from v."""
-    x = ad.reshape(ad.slice_(v, 0, 0, 24), (2, 3, 4))
-    return ad.bias_add(x, ad.slice_(v, 0, 24, 28)).tanh().sqnorm()
+def _packed_dense(v, lead, inputs, outputs):
+    """ad.dense with x (*lead, K), w (K, N) and b (N,) all sliced from v."""
+    return ad.dense(*_unpack(v, lead + (inputs,), (inputs, outputs), (outputs,))).tanh().sqnorm()
 
 
 class TestForwardValues:
@@ -56,25 +61,28 @@ class TestForwardValues:
         x = tape.leaf(np.zeros(3))
         assert np.allclose(x.tanh().data, 0.0)
 
-    def test_matmul_identity(self):
-        tape = t64()
-        a = tape.leaf(np.arange(12.0).reshape(3, 4))
-        eye = tape.constant(np.eye(3))
-        out = ad.matmul(eye, a)
-        assert np.array_equal(out.data, a.data)
+    @pytest.mark.parametrize("lead", [(5,), (3, 5)])
+    def test_dense_matches_numpy_bitwise(self, lead):
+        rng = np.random.default_rng(10)
+        x = rng.standard_normal(lead + (4,)).astype(np.float32)
+        w = rng.standard_normal((4, 3)).astype(np.float32)
+        b = rng.standard_normal(3).astype(np.float32)
+        tape = ad.Tape(np.float32)
+        out = ad.dense(tape.leaf(x), tape.leaf(w), tape.leaf(b))
+        assert np.array_equal(out.data, x @ w + b)
 
     def test_sqnorm_three_four_five(self):
         tape = t64()
         v = tape.leaf(np.array([3.0, 4.0]))
         assert float(v.sqnorm().data) == 25.0
 
-    def test_concat_slice_roundtrip(self):
+    def test_shared_sub_subtracts_from_every_block(self):
+        rng = np.random.default_rng(11)
+        a, b = rng.standard_normal((2, 6, 2)), rng.standard_normal((2, 2, 2))
         tape = t64()
-        a = tape.leaf(np.array([[1.0, 2.0]]))
-        b = tape.leaf(np.array([[3.0, 4.0]]))
-        cat = ad.concat([a, b], axis=1)
-        assert np.array_equal(ad.slice_(cat, 1, 2, 4).data, b.data)
-
+        out = ad.sub(tape.leaf(a), tape.leaf(b)).data
+        for q in range(3):
+            assert np.array_equal(out[:, 2 * q : 2 * q + 2], a[:, 2 * q : 2 * q + 2] - b)
 
     def test_lstm_matches_cell_equations(self):
         # the fused op against the textbook cell, step by step from a zero
@@ -119,7 +127,7 @@ class TestBackwardValues:
         tape = t64()
         x = tape.leaf(point)
         f = x.tanh().sqnorm()
-        g = ad.matmul(x, ad.reshape(x, (3, 4))).sqnorm()
+        g = ad.dense(x, ad.reshape(x, (3, 4)), tape.constant(np.ones(4))).sqnorm()
         combined = ad.backward(ad.add(ad.scale(f, 2.0), ad.scale(g, -0.5))).wrt(x)
 
         tape2 = t64()
@@ -127,7 +135,7 @@ class TestBackwardValues:
         gf = ad.backward(x2.tanh().sqnorm()).wrt(x2)
         tape3 = t64()
         x3 = tape3.leaf(point)
-        gg = ad.backward(ad.matmul(x3, ad.reshape(x3, (3, 4))).sqnorm()).wrt(x3)
+        gg = ad.backward(ad.dense(x3, ad.reshape(x3, (3, 4)), tape3.constant(np.ones(4))).sqnorm()).wrt(x3)
         assert np.array_equal(combined, 2.0 * gf + (-0.5) * gg)
 
     def test_deterministic_gradients(self):
@@ -137,10 +145,22 @@ class TestBackwardValues:
         def run():
             tape = ad.Tape(dtype=np.float32)
             x = tape.leaf(point)
-            y = ad.matmul(ad.matmul(x, x).tanh(), x).tanh().sqnorm()
+            b = ad.reshape(ad.slice_(x, 0, 0, 1), (5,))
+            y = ad.dense(ad.dense(x, x, b).tanh(), x, b).tanh().sqnorm()
             return ad.backward(y).wrt(x).copy()
 
         assert np.array_equal(run(), run())
+
+    def test_shared_sub_sums_blocks_into_the_reference(self):
+        rng = np.random.default_rng(12)
+        tape = t64()
+        a = tape.leaf(rng.standard_normal((2, 6, 2)))
+        b = tape.leaf(rng.standard_normal((2, 2, 2)))
+        const = tape.constant(rng.standard_normal((2, 3, 2)))
+        grads = ad.backward(ad.add(ad.sub(a, b).sqnorm(), ad.sub(a, const).sqnorm()))
+        blocks = 2.0 * (a.data.reshape(2, 3, 2, 2) - b.data[:, None])
+        assert np.allclose(grads.wrt(b), -blocks.sum(axis=1), rtol=1e-12, atol=0)
+        assert grads.wrt(const) is None
 
 
 class TestFiniteDifferenceOracles:
@@ -155,7 +175,7 @@ class TestFiniteDifferenceOracles:
 
         def f(tape, x):
             row = ad.reshape(x.tanh(), (1, 9))
-            return ad.reshape(ad.matmul(row, tape.constant(ones)), ())
+            return ad.reshape(ad.dense(row, tape.constant(ones), tape.constant(np.zeros(1))), ())
 
         err = ad.grad_check(f, rng.standard_normal(9), h=1e-5)
         assert err <= 1e-6
@@ -167,9 +187,9 @@ class TestFiniteDifferenceOracles:
         b2 = rng.standard_normal(4)
 
         def f(tape, x):
-            h1 = ad.matmul(x, tape.constant(w1)).tanh()
-            h2 = ad.bias_add(ad.matmul(h1, tape.constant(w2)), tape.constant(b2)).tanh()
-            h3 = ad.concat([h2, ad.slice_(h1, 1, 0, 2)], axis=1)
+            h1 = ad.dense(x, tape.constant(w1), tape.constant(np.zeros(5))).tanh()
+            h2 = ad.dense(h1, tape.constant(w2), tape.constant(b2)).tanh()
+            h3 = ad.sub(h2, ad.slice_(h1, 1, 0, 2))
             return ad.add(h3.sqnorm(), ad.scale(h1.sqnorm(), 1.0 / h1.size))
 
         err = ad.grad_check(f, rng.standard_normal((3, 6)), h=1e-5)
@@ -183,17 +203,17 @@ class TestFiniteDifferenceOracles:
             ("add", lambda tape, x: ad.add(x, x).sqnorm(), (3, 2)),
             ("sub", lambda tape, x: ad.sub(x.tanh(), x).sqnorm(), (3, 2)),
             ("imq_mmd", lambda tape, x: _packed_imq_mmd(x, rows=6, dim=3), (36,)),
-            ("matmul", lambda tape, x: ad.matmul(x, ad.reshape(x, (4, 3))).sqnorm(), (3, 4)),
-            ("concat3d", lambda tape, x: ad.concat([x, x.tanh()], axis=1).sqnorm(), (2, 3, 2)),
-            ("bias_add3d", lambda tape, x: _packed_bias_add(x), (28,)),
-            ("concat", lambda tape, x: ad.concat([x, x.tanh()], axis=0).sqnorm(), (2, 3)),
+            ("matmul", lambda tape, x: ad.dense(x, ad.reshape(x, (4, 3)), tape.constant(np.zeros(3))).sqnorm(), (3, 4)),
+            ("sub_shared", lambda tape, x: ad.sub(*_unpack(x, (2, 6, 2), (2, 2, 2))).tanh().sqnorm(), (32,)),
+            ("dense3d", lambda tape, x: _packed_dense(x, (2, 3), inputs=4, outputs=2), (34,)),
+            ("sub_shared_const", lambda tape, x: ad.sub(x.tanh(), tape.constant(_REF_3D)).sqnorm(), (2, 6, 2)),
             ("slice", lambda tape, x: ad.slice_(x, 1, 1, 3).sqnorm(), (2, 4)),
             ("scale", lambda tape, x: ad.scale(x, 2.5).sqnorm(), (5,)),
             ("imq_mmd_pair", lambda tape, x: _packed_imq_mmd(x, rows=2, dim=4), (16,)),
             ("reshape", lambda tape, x: ad.reshape(x, (3, 2)).tanh().sqnorm(), (6,)),
             ("slice3d", lambda tape, x: ad.slice_(x, 1, 1, 3).tanh().sqnorm(), (2, 4, 3)),
             ("lstm", lambda tape, x: _packed_lstm(x, steps=3, rows=2, inputs=3, hidden=2).sqnorm(), (66,)),
-            ("matmul3d", lambda tape, x: ad.matmul(x, tape.constant(_W_3D)).tanh().sqnorm(), (3, 2, 4)),
+            ("dense3d_const", lambda tape, x: ad.dense(x, tape.constant(_W_3D), tape.constant(_B_3D)).tanh().sqnorm(), (3, 2, 4)),
         ],
     )
     def test_every_op_backward(self, name, f, shape):
@@ -216,14 +236,9 @@ class TestFiniteDifferenceOracles:
         assert err <= tol, f"op {name}: {err}"
 
     def test_bias_add_backward(self):
-        # matrix and bias packed into one flat vector so both get checked
-        def f(tape, v):
-            x = ad.reshape(ad.slice_(v, 0, 0, 8), (2, 4))
-            b = ad.slice_(v, 0, 8, 12)
-            return ad.bias_add(x, b).tanh().sqnorm()
-
+        # x, w and b packed into one flat vector so all three get checked
         rng = np.random.default_rng(6)
-        assert ad.grad_check(f, rng.standard_normal(12), h=1e-5) <= 1e-6
+        assert ad.grad_check(lambda tape, v: _packed_dense(v, (3,), inputs=4, outputs=2), rng.standard_normal(22), h=1e-5) <= 1e-6
 
     def test_directional_check_matches(self):
         rng = np.random.default_rng(5)
@@ -244,11 +259,14 @@ class TestContracts:
         b = tape.leaf(np.ones((3, 3)))
         with pytest.raises(ShapeMismatch):
             ad.add(a, b)
+        bias = tape.leaf(np.ones(3))
         with pytest.raises(ShapeMismatch):
-            ad.matmul(a, a)
+            ad.dense(a, a, bias)
         seq = tape.leaf(np.ones((4, 2, 3)))
         with pytest.raises(ShapeMismatch):
-            ad.matmul(seq, a)
+            ad.dense(seq, a, bias)
+        with pytest.raises(ShapeMismatch):
+            ad.dense(a, b, tape.leaf(np.ones(2)))
         with pytest.raises(ShapeMismatch):
             ad.lstm(seq, b, tape.leaf(np.ones((3, 12))), tape.leaf(np.ones(12)))
         with pytest.raises(DimMismatch):
@@ -257,6 +275,18 @@ class TestContracts:
             ad.imq_mmd(a, np.ones((3, 3)), 6.0)
         with pytest.raises(TooFewSamples):
             ad.imq_mmd(tape.leaf(np.ones((1, 3))), np.ones((1, 3)), 6.0)
+
+    @pytest.mark.parametrize("a_shape,b_shape", [
+        ((2, 5, 2), (2, 2, 2)),  # 2 rows do not divide 5
+        ((2, 2, 2), (2, 4, 2)),
+        ((2, 4, 3), (2, 2, 2)),
+        ((3, 4, 2), (2, 2, 2)),
+        ((4,), (2,)),
+    ])
+    def test_sub_reference_rows_must_divide(self, a_shape, b_shape):
+        tape = t64()
+        with pytest.raises(ShapeMismatch):
+            ad.sub(tape.leaf(np.ones(a_shape)), tape.leaf(np.ones(b_shape)))
 
     def test_backward_requires_scalar(self):
         tape = t64()
@@ -284,7 +314,7 @@ class TestContracts:
             tape.leaf(np.array([np.inf]))
         x = tape.leaf(np.full((1, 1), 1e200))
         with np.errstate(over="ignore"), pytest.raises(NonFiniteValue):
-            ad.matmul(x, x)
+            ad.dense(x, x, tape.constant(np.zeros(1)))
 
     def test_leaf_shares_memory_on_matching_dtype(self):
         arr = np.ones((3, 3), dtype=np.float32)

@@ -2,6 +2,7 @@
 subcommand, driven through main(argv)."""
 
 import json
+import struct
 import time
 from dataclasses import fields
 
@@ -230,6 +231,29 @@ class TestReconstructCmd:
         code = run(["reconstruct", "--checkpoint", str(cli_run / "best.ckpt"), "--features", str(p),
                     "--out", str(tmp_path / "no.wav")])
         assert code == 1
+
+
+class TestCorruptHeaders:
+    def test_reconstruct_oversized_feature_header_exits_one(self, cli_run, tmp_path, capsys):
+        p = tmp_path / "huge.feat"
+        header = struct.pack("<IIII", inference.FEATURE_VERSION, 65535, 65535, inference.HOP_MS)
+        p.write_bytes(inference.FEATURE_MAGIC + header)
+        code = run(["reconstruct", "--checkpoint", str(cli_run / "best.ckpt"), "--features", str(p),
+                    "--out", str(tmp_path / "no.wav")])
+        assert code == 1
+        assert "65535x65535" in capsys.readouterr().err
+
+    def test_extract_oversized_tensor_rank_exits_one(self, cli_run, tmp_path, capsys):
+        raw = bytearray((cli_run / "best.ckpt").read_bytes())
+        rank_at = raw.index(b"norm.mean") + len(b"norm.mean")
+        raw[rank_at : rank_at + 4] = struct.pack("<I", 0xFFFFFFFF)
+        ckpt = tmp_path / "rank.ckpt"
+        ckpt.write_bytes(bytes(raw))
+        wav = tmp_path / "w.wav"
+        audio.save_wav(audio.AudioBuffer(np.zeros(8000, dtype=np.float32)), wav)
+        code = run(["extract", "--checkpoint", str(ckpt), "--wav", str(wav), "--out", str(tmp_path / "w.feat")])
+        assert code == 1
+        assert "norm.mean dims" in capsys.readouterr().err
 
 
 class TestEvalCmd:

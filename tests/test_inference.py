@@ -195,6 +195,13 @@ class TestFeatureFiles:
         with pytest.raises(TruncatedFile):
             inference.import_features(p)
 
+    def test_header_claiming_more_than_the_file_holds(self, tmp_path):
+        p = tmp_path / "t.feat"
+        header = struct.pack("<IIII", inference.FEATURE_VERSION, 65535, 65535, inference.HOP_MS)
+        p.write_bytes(inference.FEATURE_MAGIC + header + np.zeros(16, dtype="<f4").tobytes())
+        with pytest.raises(TruncatedFile, match="65535x65535"):
+            inference.import_features(p)
+
     def test_trailing_bytes(self, tmp_path):
         p = tmp_path / "t.feat"
         inference.export_features(inference.FeatureTrack(features=np.zeros((9, 4), dtype=np.float32)), p)

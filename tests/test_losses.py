@@ -178,7 +178,7 @@ class TestGraphBuildersMatchNumpy:
         features = rng.standard_normal((m, q, t, l))
         tape = ad.Tape(np.float64)
         z = tape.constant(features.transpose(2, 1, 0, 3).reshape(t, q * m, l))
-        got = float(losses.equivalence_loss_graph(z, q, m).data)
+        got = float(losses.equivalence_loss_graph(z, m).data)
         assert got == pytest.approx(losses.equivalence_loss(features), rel=1e-12)
 
     def test_decoder_graph(self):
@@ -188,7 +188,7 @@ class TestGraphBuildersMatchNumpy:
         targets = rng.standard_normal((m, t, n))
         tape = ad.Tape(np.float64)
         dec = tape.constant(decoded.transpose(2, 1, 0, 3).reshape(t, q * m, n))
-        got = float(losses.decoder_loss_graph(dec, targets.transpose(1, 0, 2), q).data)
+        got = float(losses.decoder_loss_graph(dec, targets.transpose(1, 0, 2)).data)
         assert got == pytest.approx(losses.decoder_loss(decoded, targets), rel=1e-12)
 
     def test_mmd_graph(self):
@@ -231,7 +231,7 @@ class TestGraphBuildersMatchNumpy:
 
     def test_equivalence_graph_gradient(self):
         def f(tape, z):
-            return losses.equivalence_loss_graph(ad.reshape(z, (1, 6, 2)), clones=3, items=2)
+            return losses.equivalence_loss_graph(ad.reshape(z, (1, 6, 2)), items=2)
 
         rng = named_stream(15, "gg")
         assert ad.grad_check(f, rng.standard_normal(12), h=1e-5) <= 1e-7

@@ -1,6 +1,8 @@
 """Encoder/decoder behavior: zero-propagation, causality, weight sharing,
 initialization law, linear head, gradients and checkpoint round trips."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -181,6 +183,24 @@ class TestCheckpoint:
         model.save_checkpoint(p, path)
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) - 7])
+        with pytest.raises(TruncatedFile):
+            model.load_checkpoint(path)
+
+    @pytest.mark.parametrize("field", ["config", "name", "rank", "dim", "dims_product"])
+    def test_oversized_length_field_raises_truncated(self, tiny_model_config, tmp_path, field):
+        # each claimed byte count is compared with the bytes left before
+        # anything is read, so none of these allocates what it claims
+        path = tmp_path / "h.ckpt"
+        model.save_checkpoint(model.init_params(tiny_model_config, seed=22), path)
+        raw = bytearray(path.read_bytes())
+        name = raw.index(b"norm.mean")  # the first tensor record's name
+        if field == "dims_product":
+            # rank 1 -> rank 4 of 65536 each: 2^64 values, 0 in int64
+            raw[name + 9 : name + 17] = struct.pack("<5I", 4, *[65536] * 4)
+        else:
+            at = {"config": 8, "name": name - 4, "rank": name + 9, "dim": name + 13}[field]
+            raw[at : at + 4] = struct.pack("<I", 0xFFFFFFFF)
+        path.write_bytes(bytes(raw))
         with pytest.raises(TruncatedFile):
             model.load_checkpoint(path)
 

@@ -36,3 +36,56 @@ def private_reads(path: Path) -> list:
 def test_no_module_reads_another_modules_private_names():
     reads = {p.name: private_reads(p) for p in sorted(SRC.glob("*.py"))}
     assert {name: found for name, found in reads.items() if found} == {}
+
+
+def _records(fn: ast.FunctionDef) -> bool:
+    return any(isinstance(n, ast.Attribute) and n.attr == "_record" for n in ast.walk(fn))
+
+
+def tape_ops() -> set:
+    """The autodiff functions (`name`) and Tensor methods (`Tensor.name`)
+    whose body records a tape entry (calls `Tape._record`)."""
+    tree = ast.parse((SRC / "autodiff.py").read_text())
+    tensor = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Tensor")
+    ops = {f.name for f in tree.body if isinstance(f, ast.FunctionDef) and _records(f)}
+    return ops | {f"Tensor.{f.name}" for f in tensor.body if isinstance(f, ast.FunctionDef) and _records(f)}
+
+
+def op_calls(path: Path) -> set:
+    """Names the file calls as autodiff functions (`ad.name(...)`, or a
+    name imported from `.autodiff`), and as `Tensor.name` every method it
+    calls on a value that is not an imported module (`seq.tanh()`, not
+    `np.tanh(...)`)."""
+    tree = ast.parse(path.read_text())
+    modules, autodiff, imported = set(), set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                local = alias.asname or alias.name.split(".")[0]
+                if isinstance(node, ast.ImportFrom) and node.module == "autodiff" and node.level == 1:
+                    imported.add(alias.name)
+                elif isinstance(node, ast.Import) or node.module is None:
+                    modules.add(local)
+                    if alias.name == "autodiff":
+                        autodiff.add(local)
+    calls = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if isinstance(f, ast.Name) and f.id in imported:
+            calls.add(f.id)
+        elif isinstance(f, ast.Attribute):
+            owner = f.value.id if isinstance(f.value, ast.Name) else None
+            if owner in autodiff:
+                calls.add(f.attr)
+            elif owner not in modules:
+                calls.add(f"Tensor.{f.attr}")
+    return calls
+
+
+def test_every_tape_op_has_a_caller_in_another_module():
+    ops = tape_ops()
+    assert {"dense", "sub", "lstm", "imq_mmd", "Tensor.tanh", "Tensor.sqnorm"} <= ops
+    called = set().union(*(op_calls(p) for p in SRC.glob("*.py") if p.name != "autodiff.py"))
+    assert sorted(ops - called) == []

@@ -102,8 +102,8 @@ class TestTrainStep:
             gc.enable()
 
     def test_step_tape_records_only_gradient_ops(self, tiny_model_config):
-        # the prior's kernel block and the tiled targets are computed in
-        # numpy and enter as constants, so every recorded op has a backward
+        # the prior's kernel block is computed in numpy and enters as a
+        # constant, so every recorded op has a backward
         params = model.init_params(tiny_model_config, seed=4)
         tape = Tape(np.float32)
         prior = np.zeros((12, tiny_model_config.feature_dim))
@@ -136,7 +136,7 @@ class TestOptimizers:
     def test_adam_matches_hand_formula(self):
         # one step on f(p) = p^2 from p = 3: g = 6
         p = {"w": np.array([3.0], dtype=np.float64)}
-        opt = training.Adam(p, lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
+        opt = training.Adam(p, lr=0.1)
         opt.step(p, {"w": np.array([6.0], dtype=np.float64)})
         m = 0.1 * 6.0
         v = 0.001 * 36.0
@@ -147,7 +147,7 @@ class TestOptimizers:
 
     def test_adam_two_steps_hand_formula(self):
         p = {"w": np.array([1.0], dtype=np.float64)}
-        opt = training.Adam(p, lr=0.5, beta1=0.9, beta2=0.999, eps=1e-8)
+        opt = training.Adam(p, lr=0.5)
         m = v = 0.0
         w = 1.0
         for t, g in enumerate([2.0, -1.0], start=1):
