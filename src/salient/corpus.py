@@ -10,6 +10,7 @@ corpus generator stands in for a real dataset at desk scale; any external
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -22,6 +23,7 @@ import numpy as np
 from . import audio
 from .audio import AudioBuffer
 from .errors import (
+    CorruptFile,
     ManifestEmpty,
     MissingFile,
     NoiseTooShort,
@@ -86,27 +88,32 @@ def _noise_segment(noise: np.ndarray, length: int, rng: np.random.Generator) -> 
     return np.tile(noise, reps)[off : off + length]
 
 
-def mix_at_snr(
-    clean: AudioBuffer,
-    noise: AudioBuffer,
-    snr_db: float,
-    rng: np.random.Generator,
-) -> AudioBuffer:
+def mix_at_snr(clean: AudioBuffer | np.ndarray, noise: AudioBuffer | np.ndarray, snr_db: float | list[float],
+               rng: np.random.Generator | None = None) -> AudioBuffer | np.ndarray:
     """clean + alpha * noise_segment, with alpha set so the mixture hits snr_db.
 
     alpha = (RMS(clean) / RMS(segment)) * 10^(-snr_db / 20), which makes the
     measured 10*log10(sum(x^2) / sum((alpha*n)^2)) equal the request exactly
-    up to float rounding.
+    up to float rounding. AudioBuffers in: an AudioBuffer out, the segment a
+    random cut of `noise` drawn from `rng`. Float32 arrays in: an array out,
+    each cut noise row (broadcast against `clean`) mixed at its own snr_db.
     """
-    x = clean.samples.astype(np.float64)
-    seg = _noise_segment(noise.samples.astype(np.float64), len(x), rng)
-    rx, rn = rms(x), rms(seg)
-    if rx == 0.0:
+    one = isinstance(noise, AudioBuffer)
+    x = (clean.samples if one else clean).astype(np.float64)
+    seg = (_noise_segment(noise.samples, len(x), rng) if one else noise).astype(np.float64)
+    rx = np.sqrt(np.mean(x * x, axis=-1, keepdims=True))
+    rn = np.sqrt(np.mean(seg * seg, axis=-1, keepdims=True))
+    if not np.all(rx):
         raise SilentSignal("clean signal has zero RMS")
-    if rn == 0.0:
+    if not np.all(rn):
         raise SilentSignal("noise segment has zero RMS")
-    alpha = (rx / rn) * 10.0 ** (-float(snr_db) / 20.0)
-    return AudioBuffer((x + alpha * seg).astype(np.float32))
+    # Python's pow, not np.power, whose vector kernels may round differently
+    seg *= (rx / rn) * np.reshape([10.0 ** (-float(s) / 20.0) for s in np.ravel(snr_db)], rn.shape)
+    seg += x
+    out = seg.astype(np.float32)
+    if not np.all(np.isfinite(out)):
+        raise CorruptFile("non-finite sample values")
+    return AudioBuffer(out) if one else out
 
 
 def measured_snr_db(mixture: AudioBuffer, clean: AudioBuffer) -> float:
@@ -119,35 +126,30 @@ def measured_snr_db(mixture: AudioBuffer, clean: AudioBuffer) -> float:
 # batch assembly
 # ---------------------------------------------------------------------------
 
-_wav_cache: dict = {}
-
-
+@functools.lru_cache(maxsize=4096)
 def _cached_wav(path: Path) -> np.ndarray:
     # corpus files are immutable for the lifetime of a run
-    key = str(path)
-    hit = _wav_cache.get(key)
-    if hit is None:
-        hit = audio.load_wav(path).samples
-        if len(_wav_cache) > 4096:
-            _wav_cache.clear()
-        _wav_cache[key] = hit
-    return hit
+    return audio.load_wav(path).samples
 
 
-def mix_entry(
-    seg: np.ndarray, entry: CloneSpec, rng: np.random.Generator, snr_db: float = None
-) -> AudioBuffer:
-    """One noisy version of a clean segment, drawing a fresh segment from each
-    of the entry's noise sources; the summed noise is scaled to the target SNR."""
-    total = np.zeros(len(seg), dtype=np.float64)
-    for p in entry.noise_paths:
-        total += _noise_segment(_cached_wav(p), len(seg), rng).astype(np.float64)
-    return mix_at_snr(
-        AudioBuffer(seg),
-        AudioBuffer(total.astype(np.float32)),
-        entry.snr_db if snr_db is None else snr_db,
-        rng,
-    )
+def mix_clones(seg: np.ndarray, entry: CloneSpec, clones: int, rng: np.random.Generator,
+               snr_db: float = None, snr_jitter_db: float = None) -> np.ndarray:
+    """`clones` noisy versions of a float32 clean segment, (clones, samples).
+    Each clone draws in turn its SNR (snr_db or the entry's, plus a uniform
+    [0, snr_jitter_db) jitter when one is given), then a cut of each of the
+    entry's noise sources; one mix_at_snr call scales all summed noise."""
+    base = entry.snr_db if snr_db is None else snr_db
+    snrs, cuts = [], []
+    for _ in range(clones):
+        snrs.append(base if snr_jitter_db is None else base + float(rng.uniform(0.0, snr_jitter_db)))
+        cuts.append([_noise_segment(_cached_wav(p), len(seg), rng) for p in entry.noise_paths])
+    noise = sum((np.array(source, dtype=np.float64) for source in zip(*cuts)), np.zeros((clones, len(seg))))
+    return mix_at_snr(seg, noise.astype(np.float32), snrs)
+
+
+def mix_entry(seg: np.ndarray, entry: CloneSpec, rng: np.random.Generator, snr_db: float = None) -> AudioBuffer:
+    """One noisy version of a clean segment: `mix_clones` with one clone."""
+    return AudioBuffer(mix_clones(np.asarray(seg, dtype=np.float32), entry, 1, rng, snr_db)[0])
 
 
 DEFAULT_SNR_JITTER_DB = 15.0
@@ -195,12 +197,8 @@ def build_clone_batch(
         seg = clean[start : start + SEGMENT_SAMPLES]
 
         # row 0 is the clean segment, rows 1..Q its mixtures: one framing call
-        signals = np.empty((clones + 1, SEGMENT_SAMPLES), dtype=np.float32)
-        signals[0] = seg
-        for q in range(clones):
-            snr_q = entry.snr_db + float(item_rng.uniform(0.0, snr_jitter_db))
-            signals[q + 1] = mix_entry(seg, entry, item_rng, snr_db=snr_q).samples
-        framed = audio.frame_matrix(signals)
+        mixed = mix_clones(seg, entry, clones, item_rng, snr_jitter_db=snr_jitter_db)
+        framed = audio.frame_matrix(np.concatenate([seg[None], mixed]))
         targets[i] = framed[0]
         inputs[i] = framed[1:]
         meta.append((entry.utterance_id, start))

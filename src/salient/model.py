@@ -214,8 +214,13 @@ def _serialize(params: ModelParams) -> bytes:
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(_serialize(params))
+    """Serialize, write beside `path`, fsync and rename: a crash leaves no part."""
+    data, tmp = _serialize(params), f"{path}.tmp"
+    with open(tmp, "wb") as fh:
+        fh.write(data)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
 
 
 def params_digest(params: ModelParams) -> str:

@@ -14,8 +14,11 @@ with one seed produce byte-identical checkpoints and loss traces.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import logging
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -225,12 +228,34 @@ def compute_norm_stats(manifest: Manifest, seed: int) -> tuple:
 # full loop
 # ---------------------------------------------------------------------------
 
+# A model this small gains less from a second BLAS thread than the batch worker
+# does: on a 2-core VM a desk step (0.2M) took 60 ms with one and 85 with two,
+# while hidden 192 (1.3M) and the small preset (19.6M) stepped faster with two.
+ONE_BLAS_THREAD_MAX_PARAMS = 1_000_000
+
+
+def openblas_thread_functions():
+    """Yield the (get, set) thread-count functions of each OpenBLAS loaded into this process."""
+    with contextlib.suppress(OSError), open("/proc/self/maps") as fh:
+        for path in sorted({line.split()[-1] for line in fh if "blas" in line.rsplit("/", 1)[-1].lower()}):
+            with contextlib.suppress(OSError):  # a library that fails to load skips only itself
+                lib = ctypes.CDLL(path)
+                for prefix, suffix in ((p, s) for p in ("openblas", "scipy_openblas") for s in ("", "64_")):
+                    get, put = (getattr(lib, f"{prefix}_{op}_num_threads{suffix}", None) for op in ("get", "set"))
+                    if get and put:
+                        get.argtypes, get.restype, put.argtypes, put.restype = [], ctypes.c_int, [ctypes.c_int], None
+                        yield get, put
+                        break
+
+
 def train(manifest: Manifest, model_config: EncoderConfig, config: TrainConfig) -> TrainResult:
     """Run the loop, scoring the parameters every eval_every steps (and at
     the final step) by the moving-average d_global; the returned parameters
     are the scored ones with the smallest average, the earliest on a tie.
-    Writes init/best/final checkpoints under config.checkpoint_dir, and a CSV
-    loss log there with one flushed row per finished step."""
+    Writes init/final checkpoints under config.checkpoint_dir, best.ckpt each
+    time the best changes, and a CSV loss log with one flushed row per step.
+    A worker thread builds step k+1's batch while step k runs, with one BLAS
+    thread for a model under ONE_BLAS_THREAD_MAX_PARAMS."""
     ckpt_dir = Path(config.checkpoint_dir)
     ckpt_dir.mkdir(parents=True, exist_ok=True)
 
@@ -239,27 +264,34 @@ def train(manifest: Manifest, model_config: EncoderConfig, config: TrainConfig) 
     init_path = ckpt_dir / "init.ckpt"
     save_checkpoint(params, init_path)
 
+    def draw(step: int, attempt: int) -> tuple:
+        # a pure function of (seed, step, attempt), so any thread may run it
+        batch = build_clone_batch(manifest, config.batch_size, config.clones,
+                                  named_stream(config.seed, f"batch/{step}/{attempt}"), config.snr_jitter_db)
+        prior = losses_mod.laplace_prior_sample(config.batch_size * corpus_mod.CLONE_FRAMES, model_config.feature_dim,
+                                                named_stream(config.seed, f"prior/{step}/{attempt}"))
+        return batch, prior
+
     optimizer = Adam(params.tensors, config.learning_rate)
     records: list = []
-    best_step, best_smoothed, best_tensors = 0, np.inf, None
-    skips = 0
+    best_step, best_smoothed, best_params, skips = 0, np.inf, None, 0
+    best_path = ckpt_dir / "best.ckpt"
     log_path = ckpt_dir / "train_log.csv"
-    with open(log_path, "w") as log_file:
+    few_params = sum(t.size for t in params.tensors.values()) < ONE_BLAS_THREAD_MAX_PARAMS
+    with contextlib.ExitStack() as restore, ThreadPoolExecutor(max_workers=1) as worker, \
+            open(log_path, "w") as log_file:
+        for get, put in openblas_thread_functions() if few_params else ():
+            restore.callback(put, get())  # after the worker is joined, last set first
+            put(1)
         log_file.write("step,d_e,d_mmd,d_d,d_global,wall_ms\n")
         log_file.flush()
+        next_batch = None  # the worker's (step, attempt 0) draw
         for step in range(1, config.steps + 1):
             t0 = time.perf_counter()
             for attempt in range(3):
-                batch_rng = named_stream(config.seed, f"batch/{step}/{attempt}")
-                batch = build_clone_batch(
-                    manifest, config.batch_size, config.clones, batch_rng,
-                    snr_jitter_db=config.snr_jitter_db,
-                )
-                prior = losses_mod.laplace_prior_sample(
-                    config.batch_size * corpus_mod.CLONE_FRAMES,
-                    model_config.feature_dim,
-                    named_stream(config.seed, f"prior/{step}/{attempt}"),
-                )
+                batch, prior = next_batch.result() if next_batch and not attempt else draw(step, attempt)
+                if not attempt:
+                    next_batch = worker.submit(draw, step + 1, 0) if step < config.steps else None
                 try:
                     breakdown = _apply_step(params, batch, prior, config.weights, optimizer)
                     break
@@ -285,18 +317,11 @@ def train(manifest: Manifest, model_config: EncoderConfig, config: TrainConfig) 
                 smoothed = float(np.mean([w.d_global for w in window]))
                 if smoothed < best_smoothed:
                     best_step, best_smoothed = step, smoothed
-                    best_tensors = {k: v.copy() for k, v in params.tensors.items()}
+                    tensors = {k: v.copy() for k, v in params.tensors.items()}
+                    best_params = ModelParams(model_config, tensors, params.mean.copy(), params.std.copy())
+                    save_checkpoint(best_params, best_path)
 
-    best_params = ModelParams(
-        config=model_config,
-        tensors=best_tensors,
-        mean=params.mean.copy(),
-        std=params.std.copy(),
-    )
-
-    best_path = ckpt_dir / "best.ckpt"
     final_path = ckpt_dir / "final.ckpt"
-    save_checkpoint(best_params, best_path)
     save_checkpoint(params, final_path)
     return TrainResult(
         best_params=best_params,

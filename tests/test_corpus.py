@@ -9,6 +9,7 @@ import pytest
 from salient import audio, corpus
 from salient.audio import AudioBuffer
 from salient.errors import (
+    CorruptFile,
     ManifestEmpty,
     MissingFile,
     NoiseTooShort,
@@ -16,7 +17,7 @@ from salient.errors import (
     SilentSignal,
     UtteranceTooShort,
 )
-from salient.seeding import named_stream
+from salient.seeding import child_seeds, named_stream
 
 
 def const_rms_signal(rms_value: float, n: int) -> AudioBuffer:
@@ -75,6 +76,30 @@ class TestMixAtSnr:
         noise = AudioBuffer(rng.uniform(-0.5, 0.5, 4000).astype(np.float32))
         with pytest.raises(NoiseTooShort):
             corpus.mix_at_snr(clean, noise, 5.0, rng)
+
+    def test_rows_mix_as_they_do_one_at_a_time(self):
+        rng = named_stream(5, "t")
+        clean = AudioBuffer(rng.uniform(-0.5, 0.5, 4000).astype(np.float32))
+        noise = rng.uniform(-0.5, 0.5, (3, 4000)).astype(np.float32)
+        snrs = [0.0, 7.3, 15.0]
+        rows = corpus.mix_at_snr(clean.samples, noise, snrs)
+        assert rows.shape == (3, 4000) and rows.dtype == np.float32
+        for r in range(3):
+            one = corpus.mix_at_snr(clean, AudioBuffer(noise[r]), snrs[r], named_stream(6, "t"))
+            assert np.array_equal(rows[r], one.samples)
+            assert corpus.measured_snr_db(one, clean) == pytest.approx(snrs[r], abs=1e-6)
+
+    def test_a_silent_or_non_finite_row_is_rejected(self):
+        rng = named_stream(7, "t")
+        clean = AudioBuffer(rng.uniform(-0.5, 0.5, 2000).astype(np.float32))
+        noise = rng.uniform(-0.5, 0.5, (3, 2000)).astype(np.float32)
+        silent, bad = noise.copy(), noise.copy()
+        silent[1] = 0.0
+        bad[2, 7] = np.nan
+        with pytest.raises(SilentSignal):
+            corpus.mix_at_snr(clean.samples, silent, np.zeros(3))
+        with pytest.raises(CorruptFile):
+            corpus.mix_at_snr(clean.samples, bad, np.zeros(3))
 
 
 class TestCloneBatch:
@@ -146,6 +171,35 @@ class TestCloneBatch:
                 ra, rb = residuals[a], residuals[b]
                 ncc = np.dot(ra, rb) / (np.linalg.norm(ra) * np.linalg.norm(rb))
                 assert abs(ncc) < 0.2
+
+    def test_batch_equals_per_clone_one_row_mixing(self, tiny_corpus):
+        # every entry mixes two noise sources; the reference draws and mixes
+        # one clone at a time in the old order: its SNR jitter, mix_entry's
+        # noise segments, then the old second cut of the summed noise
+        noises = sorted({p for e in tiny_corpus.entries for p in e.noise_paths})
+        manifest = corpus.Manifest(
+            tuple(
+                corpus.CloneSpec(e.utterance_id, e.clean_path, (e.noise_paths[0], noises[i % len(noises)]), e.snr_db)
+                for i, e in enumerate(tiny_corpus.entries)
+            ),
+            tiny_corpus.seed,
+        )
+        batch = corpus.build_clone_batch(manifest, 4, 3, named_stream(13, "b"))
+        for i, seed in enumerate(child_seeds(named_stream(13, "b"), 4)):
+            item_rng = np.random.default_rng(int(seed))
+            entry = manifest.entries[int(item_rng.integers(0, len(manifest.entries)))]
+            clean = audio.load_wav(entry.clean_path).samples
+            n_starts = (len(clean) - corpus.SEGMENT_SAMPLES) // audio.HOP_SAMPLES + 1
+            start = audio.HOP_SAMPLES * int(item_rng.integers(0, n_starts))
+            seg = clean[start : start + corpus.SEGMENT_SAMPLES]
+            clones = []
+            for _ in range(3):
+                snr = entry.snr_db + float(item_rng.uniform(0.0, corpus.DEFAULT_SNR_JITTER_DB))
+                clones.append(corpus.mix_entry(seg, entry, item_rng, snr_db=snr).samples)
+                assert item_rng.integers(0, 1) == 0
+            assert batch.meta[i] == (entry.utterance_id, start)
+            assert np.array_equal(batch.clean_targets[i], audio.frame_matrix(seg))
+            assert np.array_equal(batch.clone_inputs[i], audio.frame_matrix(np.stack(clones)))
 
     def test_empty_manifest(self):
         with pytest.raises(ManifestEmpty):

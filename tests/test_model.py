@@ -1,7 +1,9 @@
 """Encoder/decoder behavior: zero-propagation, causality, weight sharing,
 initialization law, linear head, gradients and checkpoint round trips."""
 
+import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -153,6 +155,40 @@ class TestCheckpoint:
         assert np.array_equal(back.mean, p.mean) and np.array_equal(back.std, p.std)
         assert set(back.tensors) == set(p.tensors)
         assert all(np.array_equal(back.tensors[k], p.tensors[k]) for k in p.tensors)
+
+    def test_save_renames_a_complete_file_over_the_old_one(self, tiny_model_config, tmp_path, monkeypatch):
+        path = tmp_path / "m.ckpt"
+        model.save_checkpoint(model.init_params(tiny_model_config, seed=1), path)
+        old = path.read_bytes()
+        new = model.init_params(tiny_model_config, seed=2)
+        replace, seen = os.replace, []
+
+        def spy(src, dst):
+            # at the rename, the target still holds the old checkpoint and
+            # the source, in the same directory, the whole new one
+            seen.append((Path(src).parent == Path(dst).parent, Path(dst).read_bytes() == old,
+                         model.load_checkpoint(src).tensors.keys() == new.tensors.keys()))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", spy)
+        model.save_checkpoint(new, path)
+        assert seen == [(True, True, True)]
+        assert sorted(tmp_path.iterdir()) == [path]
+        assert model.params_digest(model.load_checkpoint(path)) == model.params_digest(new)
+
+    def test_failed_serialization_leaves_no_temp_file(self, tiny_model_config, tmp_path, monkeypatch):
+        path = tmp_path / "m.ckpt"
+        model.save_checkpoint(model.init_params(tiny_model_config, seed=1), path)
+        old = path.read_bytes()
+
+        def fail(params):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(model, "_serialize", fail)
+        with pytest.raises(RuntimeError):
+            model.save_checkpoint(model.init_params(tiny_model_config, seed=2), path)
+        assert sorted(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == old
 
     def test_digest_stable_and_sensitive(self, tiny_model_config):
         p = model.init_params(tiny_model_config, seed=16)

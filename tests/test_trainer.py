@@ -1,7 +1,10 @@
 """Training-step contracts: weight sharing, exact zero gradients, Adam
-oracles, determinism, logging and best-checkpoint selection."""
+oracles, determinism, logging, best-checkpoint selection, the batch worker
+and the BLAS thread budget."""
 
+import contextlib
 import gc
+import threading
 import weakref
 
 import numpy as np
@@ -10,8 +13,8 @@ import pytest
 from salient import autodiff as ad
 from salient import losses, model, training
 from salient.autodiff import Tape
-from salient.corpus import CloneBatch, Manifest
-from salient.errors import InvalidRange, ManifestEmpty, NonFiniteLoss
+from salient.corpus import CLONE_FRAMES, CloneBatch, Manifest, build_clone_batch
+from salient.errors import InvalidRange, ManifestEmpty, NonFiniteLoss, UtteranceTooShort
 from salient.losses import LossBreakdown, LossWeights
 from salient.seeding import named_stream
 
@@ -207,6 +210,29 @@ class TestTrainLoop:
         assert lines[0] == "step,d_e,d_mmd,d_d,d_global,wall_ms"
         assert [line.split(",")[0] for line in lines[1:]] == ["1", "2"]
 
+    def test_crash_after_a_scored_step_keeps_its_best_checkpoint(self, tiny_corpus, quick_cfg, monkeypatch):
+        # eval_every=3 scores step 3; every attempt from step 5 on fails
+        cfg = model.EncoderConfig(lstm_layers=1, fc_layers=1, hidden=8, feature_dim=3, input_dim=240)
+        apply_step = training._apply_step
+        calls = []
+
+        def fail_from_step_5(*args, **kwargs):
+            calls.append(None)
+            if len(calls) >= 5:
+                raise NonFiniteLoss("injected")
+            return apply_step(*args, **kwargs)
+
+        monkeypatch.setattr(training, "_apply_step", fail_from_step_5)
+        tc = quick_cfg()
+        with pytest.raises(NonFiniteLoss):
+            training.train(tiny_corpus, cfg, tc)
+        monkeypatch.undo()
+        three = training.train(tiny_corpus, cfg, quick_cfg(steps=3, checkpoint_dir=tc.checkpoint_dir / "three"))
+        best = tc.checkpoint_dir / "best.ckpt"
+        assert best.read_bytes() == three.final_path.read_bytes()
+        assert model.load_checkpoint(best).config == cfg
+        assert not list(tc.checkpoint_dir.glob("*.tmp"))
+
     def test_best_is_smallest_smoothed_earliest_on_tie(self, tiny_corpus, quick_cfg, monkeypatch):
         # scripted losses tie the two windows (steps 1-3 and 4-6) at 2.0
         cfg = model.EncoderConfig(lstm_layers=1, fc_layers=1, hidden=8, feature_dim=3, input_dim=240)
@@ -271,3 +297,146 @@ class TestTrainLoop:
         ]
         window = records[-3:]
         assert float(np.mean([r.d_global for r in window])) == 6.0
+
+
+class TestPrefetchedTraining:
+    """train() builds step k+1's first batch on a worker thread while step k
+    runs; these tests replay and probe it from the outside."""
+
+    DESK = dict(batch_size=16, clones=8, eval_every=50, seed=4)
+    TINY = model.EncoderConfig(lstm_layers=1, fc_layers=1, hidden=8, feature_dim=3, input_dim=240)
+
+    @staticmethod
+    def record_streams(monkeypatch) -> list:
+        names = []
+        named = training.named_stream
+
+        def recording(seed, name):
+            names.append(name)
+            return named(seed, name)
+
+        monkeypatch.setattr(training, "named_stream", recording)
+        return names
+
+    def test_serial_replay_is_bitwise_equal(self, tiny_corpus, tmp_path, monkeypatch):
+        names = self.record_streams(monkeypatch)
+        cfg = model.PRESETS["desk"]
+        tc = training.TrainConfig(steps=5, checkpoint_dir=tmp_path / "run", **self.DESK)
+        result = training.train(tiny_corpus, cfg, tc)
+        assert [n for n in names if n.startswith("batch/")] == [f"batch/{s}/0" for s in range(1, 6)]
+        monkeypatch.undo()
+
+        params = model.init_params(cfg, tc.seed)
+        params.mean, params.std = training.compute_norm_stats(tiny_corpus, tc.seed)
+        optimizer = training.Adam(params.tensors, tc.learning_rate)
+        for step in range(1, 6):
+            batch = build_clone_batch(tiny_corpus, tc.batch_size, tc.clones,
+                                      named_stream(tc.seed, f"batch/{step}/0"), tc.snr_jitter_db)
+            prior = losses.laplace_prior_sample(tc.batch_size * CLONE_FRAMES, cfg.feature_dim,
+                                                named_stream(tc.seed, f"prior/{step}/0"))
+            training._apply_step(params, batch, prior, tc.weights, optimizer)
+        final = model.load_checkpoint(result.final_path)
+        assert sorted(final.tensors) == sorted(params.tensors)
+        for k, v in params.tensors.items():
+            assert final.tensors[k].tobytes() == v.tobytes(), k
+
+    def test_a_retry_is_drawn_in_order_and_the_next_step_keeps_its_batch(self, tiny_corpus, tmp_path, monkeypatch):
+        names = self.record_streams(monkeypatch)
+        apply_step = training._apply_step
+        inputs = []
+
+        def fail_second_call(params, batch, *rest):
+            inputs.append(batch.clone_inputs.copy())
+            if len(inputs) == 2:
+                raise NonFiniteLoss("injected")
+            return apply_step(params, batch, *rest)
+
+        monkeypatch.setattr(training, "_apply_step", fail_second_call)
+        tc = training.TrainConfig(steps=5, batch_size=2, clones=2, seed=5, checkpoint_dir=tmp_path / "run")
+        result = training.train(tiny_corpus, self.TINY, tc)
+        assert result.nonfinite_skips == 1
+        batches = [n for n in names if n.startswith("batch/")]
+        assert sorted(batches) == ["batch/1/0", "batch/2/0", "batch/2/1", "batch/3/0", "batch/4/0", "batch/5/0"]
+        assert batches.index("batch/2/1") > batches.index("batch/2/0")
+        monkeypatch.undo()
+        # calls: step 1, step 2 (fails), step 2's retry, step 3
+        for call, name in ((2, "batch/2/1"), (3, "batch/3/0")):
+            expected = build_clone_batch(tiny_corpus, 2, 2, named_stream(tc.seed, name), tc.snr_jitter_db)
+            assert np.array_equal(inputs[call], expected.clone_inputs), name
+
+    def test_a_worker_error_surfaces_and_leaves_no_thread(self, tiny_corpus, tmp_path, monkeypatch):
+        build = training.build_clone_batch
+        on_main = []
+
+        def third_call_fails(*args, **kwargs):
+            on_main.append(threading.current_thread() is threading.main_thread())
+            if len(on_main) == 3:
+                raise UtteranceTooShort("injected")
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(training, "build_clone_batch", third_call_fails)
+        tc = training.TrainConfig(steps=5, batch_size=2, clones=2, seed=6, checkpoint_dir=tmp_path / "run")
+        before = threading.active_count()
+        with pytest.raises(UtteranceTooShort):
+            training.train(tiny_corpus, self.TINY, tc)
+        assert threading.active_count() == before
+        assert on_main == [True, False, False]  # step 1 on the caller, steps 2 and 3 on the worker
+
+    def test_one_blas_thread_during_training_and_the_old_count_after(self, tiny_corpus, tmp_path, monkeypatch):
+        functions = list(training.openblas_thread_functions())
+        if not functions:
+            pytest.skip("no OpenBLAS thread-count symbol in this process")
+        getters = [get for get, _ in functions]
+        old = [get() for get in getters]
+        apply_step = training._apply_step
+        inside = []
+
+        def probe(*args, **kwargs):
+            inside.append([get() for get in getters])
+            if len(inside) == 3 and raising:
+                raise RuntimeError("injected")
+            return apply_step(*args, **kwargs)
+
+        monkeypatch.setattr(training, "_apply_step", probe)
+        size = sum(t.size for t in model.init_params(self.TINY, 0).tensors.values())
+        try:
+            for _, put in functions:
+                put(2)
+            if [get() for get in getters] != [2] * len(getters):
+                pytest.skip("OpenBLAS here runs one thread at most")
+            # a model under the limit trains with one thread, one at it with the count it found
+            for limit, threads in ((size + 1, 1), (size, 2)):
+                monkeypatch.setattr(training, "ONE_BLAS_THREAD_MAX_PARAMS", limit)
+                for raising in (False, True):
+                    inside.clear()
+                    tc = training.TrainConfig(steps=3, batch_size=2, clones=2, seed=7,
+                                              checkpoint_dir=tmp_path / f"{limit}-{raising}")
+                    with pytest.raises(RuntimeError) if raising else contextlib.nullcontext():
+                        training.train(tiny_corpus, self.TINY, tc)
+                    assert inside == [[threads] * len(getters)] * 3
+                    assert [get() for get in getters] == [2] * len(getters)
+        finally:
+            for (_, put), threads in zip(functions, old):
+                put(threads)
+
+    def test_a_library_that_fails_to_load_skips_only_itself(self, monkeypatch):
+        found = list(training.openblas_thread_functions())
+        if len(found) < 2:
+            pytest.skip("fewer than two OpenBLAS thread-count symbols in this process")
+        load, paths = training.ctypes.CDLL, []
+
+        def first_fails(path):
+            paths.append(path)
+            if len(paths) == 1:
+                raise OSError("injected")
+            return load(path)
+
+        monkeypatch.setattr(training.ctypes, "CDLL", first_fails)
+        assert len(list(training.openblas_thread_functions())) >= len(found) - 1
+        assert len(paths) > 1
+
+    def test_desk_trains_with_one_blas_thread_and_small_with_more(self):
+        def size(preset):
+            return sum(t.size for t in model.init_params(model.PRESETS[preset], 0).tensors.values())
+
+        assert size("desk") < training.ONE_BLAS_THREAD_MAX_PARAMS <= size("small")
