@@ -19,13 +19,7 @@ import scipy.fft
 import scipy.sparse
 from scipy.io import wavfile
 
-from .errors import (
-    CorruptFile,
-    InvalidRange,
-    OutOfBounds,
-    TooShort,
-    UnsupportedFormat,
-)
+from .errors import CorruptFile, OutOfBounds, TooShort, UnsupportedFormat
 
 SAMPLE_RATE = 16000
 FRAME_SAMPLES = 640  # 40 ms
@@ -121,39 +115,22 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def build_mel_filterbank(
-    n_fft: int = N_FFT,
-    n_mels: int = N_MELS,
-    fmin_hz: float = FMIN_HZ,
-    fmax_hz: float = FMAX_HZ,
-    sample_rate_hz: int = SAMPLE_RATE,
-) -> MelFilterbank:
-    """Triangular mel filterbank over the rfft bins of an n_fft transform.
+def build_mel_filterbank() -> MelFilterbank:
+    """Triangular mel filterbank over the rfft bins of the N_FFT transform.
 
-    Filter i peaks at mel center i+1 of n_mels+2 equally spaced mel points
-    between fmin and fmax, and falls to zero at its two neighboring centers.
+    Filter i peaks at mel center i+1 of N_MELS+2 equally spaced mel points
+    between FMIN_HZ and FMAX_HZ, and falls to zero at its two neighboring
+    centers.
     """
-    if not (0 <= fmin_hz < fmax_hz <= sample_rate_hz / 2):
-        raise InvalidRange(f"need 0 <= fmin < fmax <= {sample_rate_hz / 2}, got ({fmin_hz}, {fmax_hz})")
-    if n_mels < 1:
-        raise InvalidRange(f"n_mels must be >= 1, got {n_mels}")
-    if n_fft < 2 or (n_fft & (n_fft - 1)) != 0:
-        raise InvalidRange(f"n_fft must be a power of two, got {n_fft}")
-
-    mel_pts = np.linspace(hz_to_mel(fmin_hz), hz_to_mel(fmax_hz), n_mels + 2)
-    bin_mel = hz_to_mel(np.arange(n_fft // 2 + 1) * (sample_rate_hz / n_fft))
-
-    weights = np.zeros((n_mels, n_fft // 2 + 1), dtype=np.float64)
-    for i in range(n_mels):
-        left, center, right = mel_pts[i], mel_pts[i + 1], mel_pts[i + 2]
-        rising = (bin_mel - left) / (center - left)
-        falling = (right - bin_mel) / (right - center)
-        weights[i] = np.maximum(0.0, np.minimum(rising, falling))
-        if not np.any(weights[i] > 0.0):
-            raise InvalidRange(
-                f"mel filter {i} has no FFT-bin support; lower n_mels or raise n_fft"
-            )
-    return MelFilterbank(weights=weights, center_hz=mel_to_hz(mel_pts[1:-1]))
+    mel_pts = np.linspace(hz_to_mel(FMIN_HZ), hz_to_mel(FMAX_HZ), N_MELS + 2)
+    left, center, right = (mel_pts[k : k + N_MELS, None] for k in range(3))
+    bin_mel = hz_to_mel(np.arange(N_FFT // 2 + 1) * (SAMPLE_RATE / N_FFT))
+    rising = (bin_mel - left) / (center - left)
+    falling = (right - bin_mel) / (right - center)
+    return MelFilterbank(
+        weights=np.maximum(0.0, np.minimum(rising, falling)),
+        center_hz=mel_to_hz(mel_pts[1:-1]),
+    )
 
 
 @functools.cache

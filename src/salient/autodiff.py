@@ -226,7 +226,7 @@ def lstm(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
         pre = dx[t] @ dwx + db + hs[t] @ dwh
         acts[t] = expit(pre)
         acts[t, :, 2 * h : 3 * h] = np.tanh(pre[:, 2 * h : 3 * h])
-        i_gate, f_gate, g_cand, o_gate = np.split(acts[t], 4, axis=1)
+        i_gate, f_gate, g_cand, o_gate = acts[t].reshape(rows, 4, h).swapaxes(0, 1)
         cs[t + 1] = f_gate * cs[t] + i_gate * g_cand
         hs[t + 1] = o_gate * np.tanh(cs[t + 1])
     ix, iwx, iwh, ib = x.idx, wx.idx, wh.idx, b.idx
@@ -236,14 +236,15 @@ def lstm(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
         d_pre = np.empty_like(acts)
         dh, dc = np.zeros_like(hs[0]), np.zeros_like(cs[0])
         for t in range(steps - 1, -1, -1):
-            i_gate, f_gate, g_cand, o_gate = np.split(acts[t], 4, axis=1)
+            i_gate, f_gate, g_cand, o_gate = acts[t].reshape(rows, 4, h).swapaxes(0, 1)
+            d_i, d_f, d_g, d_o = d_pre[t].reshape(rows, 4, h).swapaxes(0, 1)
             tanh_c = np.tanh(cs[t + 1])
             dh = g[t] + dh
             dc = dh * o_gate * (1.0 - tanh_c * tanh_c) + dc
-            d_pre[t] = np.concatenate([
-                dc * g_cand * i_gate * (1.0 - i_gate), dc * cs[t] * f_gate * (1.0 - f_gate),
-                dc * i_gate * (1.0 - g_cand * g_cand), dh * tanh_c * o_gate * (1.0 - o_gate),
-            ], axis=1)
+            d_i[:] = dc * g_cand * i_gate * (1.0 - i_gate)
+            d_f[:] = dc * cs[t] * f_gate * (1.0 - f_gate)
+            d_g[:] = dc * i_gate * (1.0 - g_cand * g_cand)
+            d_o[:] = dh * tanh_c * o_gate * (1.0 - o_gate)
             dh, dc = d_pre[t] @ dwh.T, dc * f_gate
         flat = d_pre.reshape(steps * rows, 4 * h)
         if need_dx:

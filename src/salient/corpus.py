@@ -24,6 +24,7 @@ from . import audio
 from .audio import AudioBuffer
 from .errors import (
     CorruptFile,
+    InvalidRange,
     ManifestEmpty,
     MissingFile,
     NoiseTooShort,
@@ -292,6 +293,9 @@ def synth_corpus(
     multi-tone babble proxy) and a JSON-lines manifest whose per-entry SNR is
     drawn uniformly from snr_choices.
     """
+    for name, value in (("seed", seed), ("n_utterances", n_utterances)):
+        if value < 0:
+            raise InvalidRange(f"{name} must be >= 0, got {value}")
     out_dir = Path(out_dir)
     rng = named_stream(seed, "corpus")
     noise_dur = 8 * audio.SAMPLE_RATE

@@ -136,7 +136,7 @@ def track_rmse(a: np.ndarray, b: np.ndarray) -> float:
 def _eval_one(params, entry, snr_list, seed):
     clean = audio.load_wav(entry.clean_path)
     clean_frames = audio.frame_matrix(clean)
-    clean_track = extract_features(params, clean)
+    clean_features = encode_sequence(params, normalize(params, clean_frames))
     rows = []
     for snr_db in snr_list:
         rng = named_stream(seed, f"eval/{entry.utterance_id}/{snr_db}")
@@ -147,11 +147,11 @@ def _eval_one(params, entry, snr_list, seed):
             {
                 "id": entry.utterance_id,
                 "snr_db": float(snr_db),
-                "cross_clone_rmse": track_rmse(noisy_track.features, clean_track.features),
-                "mel_recon_mse": float(np.mean((recon - clean_frames) ** 2)),
+                "cross_clone_rmse": track_rmse(noisy_track.features, clean_features),
+                "mel_recon_mse": float(np.mean(np.square(recon - clean_frames, dtype=np.float64))),
             }
         )
-    return rows, clean_track.features
+    return rows, clean_features
 
 
 def evaluate(params: ModelParams, manifest: Manifest, snr_list) -> EvalReport:

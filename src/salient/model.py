@@ -115,11 +115,11 @@ def init_params(config: EncoderConfig, seed: int) -> ModelParams:
 
 
 def normalize(params: ModelParams, frames: np.ndarray) -> np.ndarray:
-    return (np.asarray(frames, dtype=np.float64) - params.mean) / params.std
+    return (np.asarray(frames, dtype=np.float32) - params.mean) / params.std
 
 
 def denormalize(params: ModelParams, frames: np.ndarray) -> np.ndarray:
-    return np.asarray(frames, dtype=np.float64) * params.std + params.mean
+    return np.asarray(frames, dtype=np.float32) * params.std + params.mean
 
 
 # ---------------------------------------------------------------------------

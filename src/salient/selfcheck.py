@@ -2,8 +2,7 @@
 
 Each check compares an implementation against an independent route: hand
 computable kernel values, closed-form moments, finite differences, or exact
-round trips. `kernel_scale` exists as a test hook so a corrupted kernel
-constant demonstrably trips the oracle.
+round trips.
 """
 
 from __future__ import annotations
@@ -61,8 +60,8 @@ def flatten_params(params) -> np.ndarray:
     return np.concatenate([params.tensors[k].astype(np.float64).ravel() for k in names])
 
 
-def _mmd_oracles(kernel_scale: float):
-    w = LossWeights(kernel_scale=kernel_scale)
+def _mmd_oracles():
+    w = LossWeights()
     # identical 1-D samples: within = 2, cross = 2, difference exactly 0
     got_zero = losses_mod.mmd_sq(np.zeros((2, 1)), np.zeros((2, 1)), w)
     ok_zero = abs(got_zero - 0.0) <= 1e-12
@@ -127,11 +126,11 @@ def _gradient_check():
     yield _check("composite gradient vs finite differences", ok, f"max relative error {err:.3e}, budget 1e-5")
 
 
-def run_selfcheck(kernel_scale: float = 1.0) -> list:
+def run_selfcheck() -> list:
     """Run every oracle; returns CheckResult entries in a fixed order."""
     results = []
     for gen in (
-        _mmd_oracles(kernel_scale),
+        _mmd_oracles(),
         _laplace_moments(),
         _snr_mixer(),
         _checkpoint_roundtrip(),

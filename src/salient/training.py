@@ -65,6 +65,7 @@ class TrainConfig:
             ("batch_size", self.batch_size >= 2, ">= 2"),
             ("clones", self.clones >= 2, ">= 2"),
             ("learning_rate", 0.0 < self.learning_rate < np.inf, "finite and > 0"),
+            ("seed", self.seed >= 0, ">= 0"),
             ("eval_every", self.eval_every >= 1, ">= 1"),
             ("snr_jitter_db", 0.0 <= self.snr_jitter_db < np.inf, "finite and >= 0"),
         ):
@@ -169,10 +170,9 @@ def build_step_graph(tape: Tape, params: ModelParams, batch: CloneBatch, prior: 
     """Assemble the full step graph on `tape`: normalize the batch with the
     stored statistics and build `step_objective` over the parameter leaves.
     Returns (leaves, (d_e, d_mmd, d_d, d_global))."""
-    normalized = normalize(params, batch.clone_inputs).astype(np.float32)
-    tgt_norm = normalize(params, batch.clean_targets).astype(np.float32)
     leaves = param_leaves(tape, params)
-    terms = step_objective(tape, leaves, params.config, normalized, tgt_norm, prior, weights)
+    terms = step_objective(tape, leaves, params.config, normalize(params, batch.clone_inputs),
+                           normalize(params, batch.clean_targets), prior, weights)
     return leaves, terms
 
 

@@ -11,12 +11,7 @@ from hypothesis import strategies as st
 from scipy.io import wavfile
 
 from salient import audio
-from salient.errors import (
-    InvalidRange,
-    OutOfBounds,
-    TooShort,
-    UnsupportedFormat,
-)
+from salient.errors import OutOfBounds, TooShort, UnsupportedFormat
 
 from conftest import make_sine
 
@@ -82,13 +77,33 @@ class TestMelFilterbank:
         assert audio.hz_to_mel(700.0) == pytest.approx(2595.0 * np.log10(2.0), abs=1e-9)
         assert float(audio.hz_to_mel(700.0)) == pytest.approx(781.17, abs=0.01)
 
-    def test_single_filter_spans_range(self):
-        fb = audio.build_mel_filterbank(n_fft=1024, n_mels=1, fmin_hz=100.0, fmax_hz=4000.0)
-        mid_mel = (audio.hz_to_mel(100.0) + audio.hz_to_mel(4000.0)) / 2.0
-        assert fb.center_hz[0] == pytest.approx(float(audio.mel_to_hz(mid_mel)))
+    def test_matches_per_filter_loop_bitwise(self):
+        # reference: the bank built one filter at a time
+        mel_pts = np.linspace(audio.hz_to_mel(audio.FMIN_HZ), audio.hz_to_mel(audio.FMAX_HZ), audio.N_MELS + 2)
+        bin_mel = audio.hz_to_mel(np.arange(audio.N_FFT // 2 + 1) * (audio.SAMPLE_RATE / audio.N_FFT))
+        weights = np.zeros((audio.N_MELS, audio.N_FFT // 2 + 1), dtype=np.float64)
+        for i in range(audio.N_MELS):
+            left, center, right = mel_pts[i], mel_pts[i + 1], mel_pts[i + 2]
+            rising = (bin_mel - left) / (center - left)
+            falling = (right - bin_mel) / (right - center)
+            weights[i] = np.maximum(0.0, np.minimum(rising, falling))
+        built = audio.build_mel_filterbank()
+        assert built.weights.dtype == np.float64
+        assert built.weights.tobytes() == weights.tobytes()
+        assert built.center_hz.tobytes() == audio.mel_to_hz(mel_pts[1:-1]).tobytes()
+
+    def test_centers_evenly_spaced_in_mel(self, fb):
+        # 80 centers strictly inside [125, 7600] Hz, one equal mel step apart
+        # and one step in from each edge
+        mels = audio.hz_to_mel(fb.center_hz)
+        step = (audio.hz_to_mel(7600.0) - audio.hz_to_mel(125.0)) / 81
+        assert fb.center_hz.shape == (80,)
+        assert np.allclose(np.diff(mels), step, rtol=1e-9, atol=0.0)
+        assert mels[0] - step == pytest.approx(float(audio.hz_to_mel(125.0)), rel=1e-12)
+        assert mels[-1] + step == pytest.approx(float(audio.hz_to_mel(7600.0)), rel=1e-12)
         freqs = np.arange(513) * (16000 / 1024)
-        support = freqs[fb.weights[0] > 0]
-        assert support.min() > 100.0 and support.max() < 4000.0
+        support = freqs[fb.weights.sum(axis=0) > 0]
+        assert support.min() > 125.0 and support.max() < 7600.0
 
     def test_full_coverage_between_centers(self, fb):
         # every FFT bin between the first and last center has positive weight
@@ -106,19 +121,6 @@ class TestMelFilterbank:
             d = np.diff(row[support[0] : support[-1] + 1])
             sign_changes = np.sum(np.diff(np.sign(d[d != 0])) != 0)
             assert sign_changes <= 1
-
-    def test_invalid_ranges(self):
-        with pytest.raises(InvalidRange):
-            audio.build_mel_filterbank(fmin_hz=5000.0, fmax_hz=1000.0)
-        with pytest.raises(InvalidRange):
-            audio.build_mel_filterbank(fmax_hz=9000.0)
-        with pytest.raises(InvalidRange):
-            audio.build_mel_filterbank(n_fft=1000)
-        with pytest.raises(InvalidRange):
-            audio.build_mel_filterbank(n_mels=0)
-        with pytest.raises(InvalidRange):
-            # too many filters for the FFT resolution: empty rows
-            audio.build_mel_filterbank(n_fft=256, n_mels=200)
 
 
 class TestDualWindowFrame:

@@ -53,6 +53,13 @@ class TestCorpusCmd:
         for rel in files_a:
             assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
 
+    @pytest.mark.parametrize("flag,value", [("--seed", "-1"), ("--utterances", "-3")])
+    def test_negative_seed_or_count_exits_one(self, tmp_path, capsys, flag, value):
+        assert run(["corpus", "--out", str(tmp_path / "n"), flag, value]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and ">= 0" in err
+        assert not (tmp_path / "n").exists()
+
     def test_missing_out_is_usage_error(self):
         assert run(["corpus", "--utterances", "2"]) == 2
 
@@ -145,7 +152,7 @@ class TestTrainCmd:
         assert (resolved["steps"], resolved["seed"]) == (1000, 4)
         assert type(resolved["steps"]) is int
 
-    @pytest.mark.parametrize("flag,value", [("--eval-every", "0"), ("--learning-rate", "nan")])
+    @pytest.mark.parametrize("flag,value", [("--eval-every", "0"), ("--learning-rate", "nan"), ("--seed", "-1")])
     def test_out_of_range_flag_exits_one_without_traceback(self, tmp_path, cli_corpus, capsys, flag, value):
         code = run([
             "train", "--manifest", str(cli_corpus / "manifest.jsonl"),
@@ -317,10 +324,12 @@ class TestSelfcheckCmd:
         out = capsys.readouterr().out
         assert "[ok]" in out and "[FAIL]" not in out
 
-    def test_corrupted_kernel_constant_fails_with_values(self, capsys):
+    def test_corrupted_kernel_constant_fails_with_values(self, monkeypatch):
+        from salient import losses
         from salient.selfcheck import run_selfcheck
-        results = run_selfcheck(kernel_scale=1.05)
+        imq_constant = losses.imq_constant
+        monkeypatch.setattr(losses, "imq_constant", lambda dim, scale: imq_constant(dim, 1.05 * scale))
+        results = run_selfcheck()
         failed = [r for r in results if not r.passed]
-        assert len(failed) == 1
-        assert "mmd" in failed[0].name
+        assert [r.name for r in failed] == ["mmd oracle (shifted samples)"]
         assert "expected" in failed[0].detail and "actual" in failed[0].detail

@@ -10,6 +10,7 @@ from salient import audio, corpus
 from salient.audio import AudioBuffer
 from salient.errors import (
     CorruptFile,
+    InvalidRange,
     ManifestEmpty,
     MissingFile,
     NoiseTooShort,
@@ -223,6 +224,12 @@ class TestSynthCorpus:
         assert not (tmp_path / "c0" / "wav").exists()
         back = corpus.load_manifest(tmp_path / "c0" / "manifest.jsonl")
         assert len(back) == 0 and back.seed == 1
+
+    @pytest.mark.parametrize("n,seed", [(2, -1), (-3, 1)])
+    def test_negative_seed_or_count_rejected(self, tmp_path, n, seed):
+        with pytest.raises(InvalidRange):
+            corpus.synth_corpus(tmp_path / "neg", n, seed=seed)
+        assert not (tmp_path / "neg").exists()
 
     def test_regeneration_bit_identical(self, tmp_path):
         a = tmp_path / "a"

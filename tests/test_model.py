@@ -97,6 +97,22 @@ class TestForward:
             model.decode_sequence(p, np.zeros((0, tiny_model_config.feature_dim)))
 
 
+class TestNormalize:
+    def test_float32_frame_space(self, tiny_model_config):
+        p = model.init_params(tiny_model_config, seed=3)
+        rng = named_stream(3, "norm")
+        n = tiny_model_config.input_dim
+        p.mean = rng.standard_normal(n).astype(np.float32)
+        p.std = rng.uniform(0.5, 2.0, n).astype(np.float32)
+        frames = rng.standard_normal((2, 7, n)).astype(np.float32)
+        got = model.normalize(p, frames)
+        assert got.dtype == np.float32
+        assert got.tobytes() == ((frames - p.mean) / p.std).tobytes()
+        back = model.denormalize(p, got)
+        assert back.dtype == np.float32
+        assert np.allclose(back, frames, rtol=0.0, atol=1e-5)
+
+
 class TestInit:
     def test_same_seed_identical(self, tiny_model_config):
         a = model.init_params(tiny_model_config, seed=11)

@@ -122,7 +122,7 @@ class TestTrainStep:
     @pytest.mark.parametrize("key,value", [
         ("steps", 0), ("batch_size", 1), ("clones", 1),
         ("learning_rate", float("nan")), ("learning_rate", float("inf")),
-        ("learning_rate", 0.0), ("learning_rate", -1.0), ("eval_every", 0),
+        ("learning_rate", 0.0), ("learning_rate", -1.0), ("seed", -1), ("eval_every", 0),
         ("snr_jitter_db", -1.0), ("snr_jitter_db", float("nan")), ("snr_jitter_db", float("inf")),
         ("lambda_mmd", -1.0), ("lambda_d", float("nan")), ("lambda_d", float("inf")),
         ("kernel_scale", 0.0), ("kernel_scale", float("nan")),
