@@ -33,6 +33,8 @@ def _parse_snr_list(text: str) -> list:
         raise SalientError(f"bad --snr-list {text!r}: {exc}") from exc
     if not all(math.isfinite(s) for s in snrs):
         raise SalientError(f"bad --snr-list {text!r}: every SNR must be finite")
+    if not snrs:
+        raise SalientError(f"bad --snr-list {text!r}: need at least one SNR")
     return snrs
 
 

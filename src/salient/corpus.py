@@ -89,19 +89,16 @@ def _noise_segment(noise: np.ndarray, length: int, rng: np.random.Generator) -> 
     return np.tile(noise, reps)[off : off + length]
 
 
-def mix_at_snr(clean: AudioBuffer | np.ndarray, noise: AudioBuffer | np.ndarray, snr_db: float | list[float],
-               rng: np.random.Generator | None = None) -> AudioBuffer | np.ndarray:
-    """clean + alpha * noise_segment, with alpha set so the mixture hits snr_db.
+def mix_at_snr(clean: np.ndarray, noise: np.ndarray, snr_db: float | list[float]) -> np.ndarray:
+    """clean + alpha * noise, with alpha set so the mixture hits snr_db.
 
-    alpha = (RMS(clean) / RMS(segment)) * 10^(-snr_db / 20), which makes the
+    alpha = (RMS(clean) / RMS(noise)) * 10^(-snr_db / 20), which makes the
     measured 10*log10(sum(x^2) / sum((alpha*n)^2)) equal the request exactly
-    up to float rounding. AudioBuffers in: an AudioBuffer out, the segment a
-    random cut of `noise` drawn from `rng`. Float32 arrays in: an array out,
-    each cut noise row (broadcast against `clean`) mixed at its own snr_db.
+    up to float rounding. `noise` is already cut to the clean length; each of
+    its rows (broadcast against `clean`) mixes at its own snr_db. Float32 out.
     """
-    one = isinstance(noise, AudioBuffer)
-    x = (clean.samples if one else clean).astype(np.float64)
-    seg = (_noise_segment(noise.samples, len(x), rng) if one else noise).astype(np.float64)
+    x = np.asarray(clean, dtype=np.float64)
+    seg = np.array(noise, dtype=np.float64)
     rx = np.sqrt(np.mean(x * x, axis=-1, keepdims=True))
     rn = np.sqrt(np.mean(seg * seg, axis=-1, keepdims=True))
     if not np.all(rx):
@@ -114,12 +111,12 @@ def mix_at_snr(clean: AudioBuffer | np.ndarray, noise: AudioBuffer | np.ndarray,
     out = seg.astype(np.float32)
     if not np.all(np.isfinite(out)):
         raise CorruptFile("non-finite sample values")
-    return AudioBuffer(out) if one else out
+    return out
 
 
-def measured_snr_db(mixture: AudioBuffer, clean: AudioBuffer) -> float:
-    x = clean.samples.astype(np.float64)
-    r = mixture.samples.astype(np.float64) - x
+def measured_snr_db(mixture: np.ndarray, clean: np.ndarray) -> float:
+    x = np.asarray(clean, dtype=np.float64)
+    r = np.asarray(mixture, dtype=np.float64) - x
     return 10.0 * math.log10(float(np.sum(x * x)) / float(np.sum(r * r)))
 
 
@@ -134,7 +131,7 @@ def _cached_wav(path: Path) -> np.ndarray:
 
 
 def mix_clones(seg: np.ndarray, entry: CloneSpec, clones: int, rng: np.random.Generator,
-               snr_db: float = None, snr_jitter_db: float = None) -> np.ndarray:
+               snr_db: float | None = None, snr_jitter_db: float | None = None) -> np.ndarray:
     """`clones` noisy versions of a float32 clean segment, (clones, samples).
     Each clone draws in turn its SNR (snr_db or the entry's, plus a uniform
     [0, snr_jitter_db) jitter when one is given), then a cut of each of the
@@ -148,11 +145,6 @@ def mix_clones(seg: np.ndarray, entry: CloneSpec, clones: int, rng: np.random.Ge
     return mix_at_snr(seg, noise.astype(np.float32), snrs)
 
 
-def mix_entry(seg: np.ndarray, entry: CloneSpec, rng: np.random.Generator, snr_db: float = None) -> AudioBuffer:
-    """One noisy version of a clean segment: `mix_clones` with one clone."""
-    return AudioBuffer(mix_clones(np.asarray(seg, dtype=np.float32), entry, 1, rng, snr_db)[0])
-
-
 DEFAULT_SNR_JITTER_DB = 15.0
 
 
@@ -164,8 +156,7 @@ def build_clone_batch(
     snr_jitter_db: float = DEFAULT_SNR_JITTER_DB,
 ) -> CloneBatch:
     """Sample a training batch: per item, one clean 6-frame segment and Q
-    noisy versions of it. Each item runs on its own child stream, so serial
-    and per-item-parallel assembly produce identical batches.
+    noisy versions of it, each item drawn from its own child stream of `rng`.
 
     Each clone's mixture SNR is drawn independently from
     [entry SNR, entry SNR + snr_jitter_db]: the entry SNR stays the noisiest
@@ -296,6 +287,8 @@ def synth_corpus(
     for name, value in (("seed", seed), ("n_utterances", n_utterances)):
         if value < 0:
             raise InvalidRange(f"{name} must be >= 0, got {value}")
+    if len(snr_choices) == 0:
+        raise InvalidRange("snr_choices must not be empty")
     out_dir = Path(out_dir)
     rng = named_stream(seed, "corpus")
     noise_dur = 8 * audio.SAMPLE_RATE

@@ -60,7 +60,7 @@ class EvalReport:
 # extraction / reconstruction
 # ---------------------------------------------------------------------------
 
-def extract_features(params: ModelParams, buf: AudioBuffer) -> FeatureTrack:
+def extract_features(params: ModelParams, buf: AudioBuffer | np.ndarray) -> FeatureTrack:
     """Frame the utterance, normalize, and encode the whole track in one
     causal pass from a zero initial state."""
     frames = normalize(params, audio.frame_matrix(buf))
@@ -140,7 +140,7 @@ def _eval_one(params, entry, snr_list, seed):
     rows = []
     for snr_db in snr_list:
         rng = named_stream(seed, f"eval/{entry.utterance_id}/{snr_db}")
-        noisy = corpus_mod.mix_entry(clean.samples, entry, rng, snr_db=snr_db)
+        noisy = corpus_mod.mix_clones(clean.samples, entry, 1, rng, snr_db=snr_db)[0]
         noisy_track = extract_features(params, noisy)
         recon = reconstruct_mel(params, noisy_track)
         rows.append(

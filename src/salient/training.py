@@ -19,7 +19,7 @@ import ctypes
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -213,8 +213,8 @@ def compute_norm_stats(manifest: Manifest, seed: int) -> tuple:
     acc_sq = np.zeros(audio.FRAME_BINS, dtype=np.float64)
     for entry in manifest.entries:
         clean = audio.load_wav(entry.clean_path)
-        for buf in (clean, corpus_mod.mix_entry(clean.samples, entry, rng)):
-            frames = audio.frame_matrix(buf)
+        for x in (clean.samples, corpus_mod.mix_clones(clean.samples, entry, 1, rng)[0]):
+            frames = audio.frame_matrix(x)
             count += frames.shape[0]
             acc += frames.sum(axis=0, dtype=np.float64)
             acc_sq += np.square(frames, dtype=np.float64).sum(axis=0)
@@ -283,7 +283,7 @@ def train(manifest: Manifest, model_config: EncoderConfig, config: TrainConfig) 
         for get, put in openblas_thread_functions() if few_params else ():
             restore.callback(put, get())  # after the worker is joined, last set first
             put(1)
-        log_file.write("step,d_e,d_mmd,d_d,d_global,wall_ms\n")
+        log_file.write(",".join(f.name for f in fields(TrainLogRecord)) + "\n")
         log_file.flush()
         next_batch = None  # the worker's (step, attempt 0) draw
         for step in range(1, config.steps + 1):
@@ -310,7 +310,7 @@ def train(manifest: Manifest, model_config: EncoderConfig, config: TrainConfig) 
                 wall_ms=(time.perf_counter() - t0) * 1e3,
             )
             records.append(r)
-            log_file.write(f"{r.step},{r.d_e!r},{r.d_mmd!r},{r.d_d!r},{r.d_global!r},{r.wall_ms!r}\n")
+            log_file.write(",".join(map(repr, astuple(r))) + "\n")
             log_file.flush()
             if step % config.eval_every == 0 or step == config.steps:
                 window = records[-min(config.eval_every, len(records)):]

@@ -309,11 +309,14 @@ class TestEvalCmd:
     def test_non_finite_snr_exits_one(self, cli_run, cli_corpus, tmp_path, capsys):
         with pytest.raises(SalientError, match="finite"):
             cli._parse_snr_list("0,nan")
-        assert run(["eval", "--checkpoint", str(cli_run / "best.ckpt"),
-                    "--manifest", str(cli_corpus / "manifest.jsonl"),
-                    "--snr-list", "0,inf", "--report", str(tmp_path / "r.json")]) == 1
-        assert "finite" in capsys.readouterr().err
-        assert not (tmp_path / "r.json").exists()
+        for snrs, why in (("0,inf", "finite"), ("", "at least one")):
+            assert run(["eval", "--checkpoint", str(cli_run / "best.ckpt"),
+                        "--manifest", str(cli_corpus / "manifest.jsonl"),
+                        "--snr-list", snrs, "--report", str(tmp_path / "r.json")]) == 1
+            assert run(["corpus", "--out", str(tmp_path / "c"), "--utterances", "2", "--snr-list", snrs]) == 1
+            err = capsys.readouterr().err
+            assert err.count(why) == 2 and "Traceback" not in err
+            assert not (tmp_path / "r.json").exists() and not (tmp_path / "c").exists()
 
 
 class TestSelfcheckCmd:

@@ -21,86 +21,100 @@ from salient.errors import (
 from salient.seeding import child_seeds, named_stream
 
 
-def const_rms_signal(rms_value: float, n: int) -> AudioBuffer:
+def const_rms_signal(rms_value: float, n: int) -> np.ndarray:
     # alternating +-a has RMS exactly a
     x = np.full(n, rms_value, dtype=np.float32)
     x[1::2] *= -1.0
-    return AudioBuffer(x)
+    return x
+
+
+def noise_entry(tmp_path, noise: np.ndarray, snr_db: float = 5.0) -> corpus.CloneSpec:
+    # one WAV-backed noise source; mix_clones never reads the clean path
+    p = tmp_path / "noise.wav"
+    audio.save_wav(AudioBuffer(noise), p)
+    return corpus.CloneSpec("u", tmp_path / "clean.wav", (p,), snr_db)
 
 
 class TestMixAtSnr:
     def test_gain_closed_form(self):
         clean = const_rms_signal(0.1, 4000)
         noise = const_rms_signal(0.2, 4000)
-        rng = named_stream(0, "t")
-        mix = corpus.mix_at_snr(clean, noise, 10.0, rng)
-        residual = mix.samples.astype(np.float64) - clean.samples
-        alpha = corpus.rms(residual) / corpus.rms(noise.samples)
+        mix = corpus.mix_at_snr(clean, noise, 10.0)
+        residual = mix.astype(np.float64) - clean
+        alpha = corpus.rms(residual) / corpus.rms(noise)
         assert alpha == pytest.approx(0.5 * 10 ** (-0.5), abs=1e-6)
         assert alpha == pytest.approx(0.158114, abs=1e-6)
 
     def test_zero_db_equal_rms_is_plain_sum(self):
-        rng = named_stream(1, "t")
         clean = const_rms_signal(0.25, 2000)
-        noise = AudioBuffer(-clean.samples.copy())
-        mix = corpus.mix_at_snr(clean, noise, 0.0, rng)
-        expected = clean.samples.astype(np.float64) + noise.samples
-        assert np.allclose(mix.samples, expected, atol=1e-7)
+        noise = -clean
+        mix = corpus.mix_at_snr(clean, noise, 0.0)
+        expected = clean.astype(np.float64) + noise
+        assert np.allclose(mix, expected, atol=1e-7)
 
     def test_silent_inputs_rejected(self):
-        rng = named_stream(2, "t")
         clean = const_rms_signal(0.1, 1000)
-        silent = AudioBuffer(np.zeros(1000, dtype=np.float32))
+        silent = np.zeros(1000, dtype=np.float32)
         with pytest.raises(SilentSignal):
-            corpus.mix_at_snr(clean, silent, 5.0, rng)
+            corpus.mix_at_snr(clean, silent, 5.0)
         with pytest.raises(SilentSignal):
-            corpus.mix_at_snr(silent, clean, 5.0, rng)
+            corpus.mix_at_snr(silent, clean, 5.0)
+
+    def test_inputs_are_left_unchanged(self):
+        rng = named_stream(8, "t")
+        clean, noise = rng.uniform(-0.5, 0.5, (2, 1000))
+        before = noise.copy()
+        corpus.mix_at_snr(clean, noise, 5.0)
+        assert np.array_equal(noise, before)
 
     @pytest.mark.parametrize("snr_db", [-5.0, 0.0, 7.3, 15.0, 30.0])
-    def test_measured_snr_accuracy(self, snr_db):
+    def test_measured_snr_accuracy(self, tmp_path, snr_db):
+        # noise cut from a file three times the clean length
         rng = named_stream(int(abs(snr_db) * 10), "snr")
-        clean = AudioBuffer(rng.uniform(-0.7, 0.7, 8000).astype(np.float32))
-        noise = AudioBuffer(rng.uniform(-0.7, 0.7, 24000).astype(np.float32))
-        mix = corpus.mix_at_snr(clean, noise, snr_db, rng)
-        assert corpus.measured_snr_db(mix, clean) == pytest.approx(snr_db, abs=1e-6)
+        clean = rng.uniform(-0.7, 0.7, 8000).astype(np.float32)
+        entry = noise_entry(tmp_path, rng.uniform(-0.7, 0.7, 24000).astype(np.float32))
+        for mix in corpus.mix_clones(clean, entry, 3, rng, snr_db=snr_db):
+            assert corpus.measured_snr_db(mix, clean) == pytest.approx(snr_db, abs=1e-6)
 
-    def test_short_noise_wraps_and_stays_accurate(self):
+    def test_short_noise_wraps_and_stays_accurate(self, tmp_path):
         rng = named_stream(3, "t")
-        clean = AudioBuffer(rng.uniform(-0.5, 0.5, 16000).astype(np.float32))
-        noise = AudioBuffer(rng.uniform(-0.5, 0.5, 9000).astype(np.float32))
-        mix = corpus.mix_at_snr(clean, noise, 5.0, rng)
+        clean = rng.uniform(-0.5, 0.5, 16000).astype(np.float32)
+        entry = noise_entry(tmp_path, rng.uniform(-0.5, 0.5, 9000).astype(np.float32))
+        mix = corpus.mix_clones(clean, entry, 1, rng)[0]
         assert corpus.measured_snr_db(mix, clean) == pytest.approx(5.0, abs=1e-6)
+        residual = mix.astype(np.float64) - clean  # repeats with the file's period
+        assert np.allclose(residual[:7000], residual[9000:], atol=1e-6)
 
-    def test_sub_half_second_noise_rejected(self):
+    def test_sub_half_second_noise_rejected(self, tmp_path):
         rng = named_stream(4, "t")
-        clean = AudioBuffer(rng.uniform(-0.5, 0.5, 16000).astype(np.float32))
-        noise = AudioBuffer(rng.uniform(-0.5, 0.5, 4000).astype(np.float32))
+        clean = rng.uniform(-0.5, 0.5, 16000).astype(np.float32)
+        entry = noise_entry(tmp_path, rng.uniform(-0.5, 0.5, 4000).astype(np.float32))
         with pytest.raises(NoiseTooShort):
-            corpus.mix_at_snr(clean, noise, 5.0, rng)
+            corpus.mix_clones(clean, entry, 1, rng)
 
     def test_rows_mix_as_they_do_one_at_a_time(self):
         rng = named_stream(5, "t")
-        clean = AudioBuffer(rng.uniform(-0.5, 0.5, 4000).astype(np.float32))
+        clean = rng.uniform(-0.5, 0.5, 4000).astype(np.float32)
         noise = rng.uniform(-0.5, 0.5, (3, 4000)).astype(np.float32)
         snrs = [0.0, 7.3, 15.0]
-        rows = corpus.mix_at_snr(clean.samples, noise, snrs)
+        rows = corpus.mix_at_snr(clean, noise, snrs)
         assert rows.shape == (3, 4000) and rows.dtype == np.float32
         for r in range(3):
-            one = corpus.mix_at_snr(clean, AudioBuffer(noise[r]), snrs[r], named_stream(6, "t"))
-            assert np.array_equal(rows[r], one.samples)
+            one = corpus.mix_at_snr(clean, noise[r], snrs[r])
+            assert one.shape == (4000,) and np.array_equal(rows[r], one)
             assert corpus.measured_snr_db(one, clean) == pytest.approx(snrs[r], abs=1e-6)
 
     def test_a_silent_or_non_finite_row_is_rejected(self):
         rng = named_stream(7, "t")
-        clean = AudioBuffer(rng.uniform(-0.5, 0.5, 2000).astype(np.float32))
+        clean = rng.uniform(-0.5, 0.5, 2000).astype(np.float32)
         noise = rng.uniform(-0.5, 0.5, (3, 2000)).astype(np.float32)
         silent, bad = noise.copy(), noise.copy()
         silent[1] = 0.0
         bad[2, 7] = np.nan
         with pytest.raises(SilentSignal):
-            corpus.mix_at_snr(clean.samples, silent, np.zeros(3))
+            corpus.mix_at_snr(clean, silent, np.zeros(3))
         with pytest.raises(CorruptFile):
-            corpus.mix_at_snr(clean.samples, bad, np.zeros(3))
+            corpus.mix_at_snr(clean, bad, np.zeros(3))
 
 
 class TestCloneBatch:
@@ -165,8 +179,8 @@ class TestCloneBatch:
         seg = audio.load_wav(clean_p).samples[: corpus.SEGMENT_SAMPLES].astype(np.float64)
         residuals = []
         for _ in range(4):
-            mix = corpus.mix_entry(seg, entry, item_rng)
-            residuals.append(mix.samples.astype(np.float64) - seg)
+            mix = corpus.mix_clones(seg, entry, 1, item_rng)[0]
+            residuals.append(mix.astype(np.float64) - seg)
         for a in range(4):
             for b in range(a + 1, 4):
                 ra, rb = residuals[a], residuals[b]
@@ -175,8 +189,8 @@ class TestCloneBatch:
 
     def test_batch_equals_per_clone_one_row_mixing(self, tiny_corpus):
         # every entry mixes two noise sources; the reference draws and mixes
-        # one clone at a time in the old order: its SNR jitter, mix_entry's
-        # noise segments, then the old second cut of the summed noise
+        # one clone at a time in the old order: its SNR jitter, its noise
+        # segments (a one-clone mix_clones), then the old second cut of the summed noise
         noises = sorted({p for e in tiny_corpus.entries for p in e.noise_paths})
         manifest = corpus.Manifest(
             tuple(
@@ -196,7 +210,7 @@ class TestCloneBatch:
             clones = []
             for _ in range(3):
                 snr = entry.snr_db + float(item_rng.uniform(0.0, corpus.DEFAULT_SNR_JITTER_DB))
-                clones.append(corpus.mix_entry(seg, entry, item_rng, snr_db=snr).samples)
+                clones.append(corpus.mix_clones(seg, entry, 1, item_rng, snr_db=snr)[0])
                 assert item_rng.integers(0, 1) == 0
             assert batch.meta[i] == (entry.utterance_id, start)
             assert np.array_equal(batch.clean_targets[i], audio.frame_matrix(seg))
@@ -229,6 +243,9 @@ class TestSynthCorpus:
     def test_negative_seed_or_count_rejected(self, tmp_path, n, seed):
         with pytest.raises(InvalidRange):
             corpus.synth_corpus(tmp_path / "neg", n, seed=seed)
+        assert not (tmp_path / "neg").exists()
+        with pytest.raises(InvalidRange):
+            corpus.synth_corpus(tmp_path / "neg", abs(n), seed=abs(seed), snr_choices=())
         assert not (tmp_path / "neg").exists()
 
     def test_regeneration_bit_identical(self, tmp_path):
