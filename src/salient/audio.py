@@ -216,32 +216,31 @@ def dual_window_frame(audio: AudioBuffer, frame_start_sample: int) -> np.ndarray
 # ---------------------------------------------------------------------------
 
 def stft(x: np.ndarray) -> np.ndarray:
-    """(T, 513) spectra of a 1-D signal's 40 ms Hann frames at hop 320: the
-    transform the full window of `frame_matrix` takes its power from."""
-    # padded here, not by rfft(n=N_FFT), which would copy every frame once more
+    """(T, 513) spectra, in `x`'s precision, of its 40 ms Hann frames at hop
+    320: the transform `frame_matrix`'s full window takes its power from."""
+    win = _WIN_FULL32 if x.dtype == np.float32 else _WIN_FULL
     n = frame_count(len(x))
-    frames = np.zeros((n, N_FFT))
-    np.multiply(x[_frame_grid(n)], _WIN_FULL, out=frames[:, :FRAME_SAMPLES])
+    # frame t is half-hop blocks t and t+1, padded here, not by rfft(n=N_FFT)
+    halves = x[: (n + 1) * HOP_SAMPLES].reshape(n + 1, HOP_SAMPLES)
+    frames = np.zeros((n, N_FFT), dtype=win.dtype)
+    np.multiply(halves[:-1], win[:HOP_SAMPLES], out=frames[:, :HOP_SAMPLES])
+    np.multiply(halves[1:], win[HOP_SAMPLES:], out=frames[:, HOP_SAMPLES:FRAME_SAMPLES])
     return scipy.fft.rfft(frames, axis=-1)
 
 
-def _overlap_add(frames: np.ndarray) -> np.ndarray:
-    """Sum (T, 640) frames at hop 320: output block t (320 samples) gets
-    the second half of frame t-1 and the first half of frame t."""
-    halves = frames.reshape(frames.shape[:-1] + (2, HOP_SAMPLES))
-    out = np.zeros((halves.shape[0] + 1, HOP_SAMPLES), dtype=np.float64)
-    out[1:] += halves[:, 1]
-    out[:-1] += halves[:, 0]
-    return out.reshape(-1)
-
-
 def istft(spec: np.ndarray) -> np.ndarray:
-    """(T+1)*320 samples from (T, 513) spectra, so `stft` of the result has
-    T frames again."""
-    # least-squares overlap-add: sum(w * y_t) / sum(w^2). The divisor is
-    # clamped well away from zero: in the first/last half window the window
-    # support vanishes, and dividing unconstrained inverse-FFT content there
-    # by ~0 would blast a spike into the signal edge.
+    """(T+1)*320 samples, in `spec`'s precision, from (T, 513) spectra, so
+    `stft` of the result has T frames again."""
+    # least-squares overlap-add, sum(w * y_t) / sum(w^2), block t summing
+    # zero, frame t-1's second half and frame t's first in that order. The
+    # divisor is clamped away from zero: where the edge half windows vanish,
+    # dividing inverse-FFT content by ~0 would spike the signal edge.
     y = scipy.fft.irfft(spec, n=N_FFT, axis=-1)[:, :FRAME_SAMPLES]
-    wsum = _overlap_add(np.broadcast_to(_WIN_FULL * _WIN_FULL, y.shape))
-    return _overlap_add(y * _WIN_FULL) / np.maximum(wsum, 0.25)
+    win = _WIN_FULL32 if y.dtype == np.float32 else _WIN_FULL
+    y *= win
+    out = np.zeros((len(y) + 1, HOP_SAMPLES), dtype=y.dtype)
+    out[1:] += y[:, HOP_SAMPLES:]
+    out[:-1] += y[:, :HOP_SAMPLES]
+    wsum = np.tile(win[HOP_SAMPLES:] ** 2 + win[:HOP_SAMPLES] ** 2, (len(out), 1))
+    wsum[0], wsum[-1] = win[:HOP_SAMPLES] ** 2, win[HOP_SAMPLES:] ** 2
+    return np.divide(out, np.maximum(wsum, 0.25), out=out).reshape(-1)

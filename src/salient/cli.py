@@ -35,6 +35,8 @@ def _parse_snr_list(text: str) -> list:
         raise SalientError(f"bad --snr-list {text!r}: every SNR must be finite")
     if not snrs:
         raise SalientError(f"bad --snr-list {text!r}: need at least one SNR")
+    if len(set(snrs)) < len(snrs):
+        raise SalientError(f"bad --snr-list {text!r}: each SNR may appear only once")
     return snrs
 
 
@@ -159,6 +161,8 @@ def cmd_reconstruct(args) -> int:
         "checkpoint": args.checkpoint, "features": args.features,
         "out": args.out, "gl_iters": args.gl_iters,
     })
+    if args.gl_iters < 1:
+        raise SalientError(f"--gl-iters must be at least 1, got {args.gl_iters}")
     if args.gl_iters < 10:
         print(f"[reconstruct] warning: {args.gl_iters} phase-recovery iterations "
               "will sound rough; 60 is the usual setting")

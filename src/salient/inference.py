@@ -103,22 +103,18 @@ def griffin_lim(mel_track: np.ndarray, iterations: int = DEFAULT_GL_ITERS) -> Au
 
     Iterative phase recovery with 640-sample Hann analysis, 320 hop and a
     1024-point FFT, starting from a fixed-seed random phase draw (so the
-    output stays deterministic). Peak-normalized to 0.9 unless essentially
-    silent.
+    output stays deterministic), iterated in float32. Peak-normalized to 0.9
+    unless essentially silent.
     """
     if iterations < 1:
         raise InvalidIterations(f"iterations must be >= 1, got {iterations}")
-    mag = np.sqrt(mel_to_linear_power(mel_track))
-    rng = np.random.default_rng(0)
-    x = audio.istft(mag * np.exp(2j * np.pi * rng.random(mag.shape)))
+    mag = np.sqrt(mel_to_linear_power(mel_track)).astype(np.float32)
+    x = audio.istft(mag * np.exp(2j * np.pi * np.random.default_rng(0).random(mag.shape)).astype(np.complex64))
     for _ in range(iterations - 1):
         spec = audio.stft(x)
-        denom = np.maximum(np.abs(spec), 1e-12)
-        x = audio.istft(mag * (spec / denom))
-    peak = float(np.max(np.abs(x))) if x.size else 0.0
-    if peak > 1e-6:
-        x = 0.9 * x / peak
-    return AudioBuffer(x.astype(np.float32))
+        x = audio.istft(spec * (1 / np.maximum(np.abs(spec), 1e-12)) * mag)
+    peak = np.max(np.abs(x))
+    return AudioBuffer(0.9 * x / peak if peak > 1e-6 else x)
 
 
 # ---------------------------------------------------------------------------

@@ -231,6 +231,26 @@ class TestReconstructCmd:
         assert "warning" in capsys.readouterr().out
         assert audio.load_wav(out_wav).samples.size > 0
 
+    def test_same_track_gives_identical_wavs(self, cli_run, cli_corpus, tmp_path):
+        entry = corpus.load_manifest(cli_corpus / "manifest.jsonl").entries[1]
+        feat = tmp_path / "u.feat"
+        assert run(["extract", "--checkpoint", str(cli_run / "best.ckpt"), "--wav", str(entry.clean_path), "--out", str(feat)]) == 0
+        wavs = [tmp_path / "a.wav", tmp_path / "b.wav"]
+        for wav in wavs:
+            assert run(["reconstruct", "--checkpoint", str(cli_run / "best.ckpt"), "--features", str(feat),
+                        "--out", str(wav)]) == 0
+        assert wavs[0].read_bytes() == wavs[1].read_bytes()
+
+    @pytest.mark.parametrize("iters", ["0", "-3"])
+    def test_fewer_than_one_iteration_exits_one_before_loading(self, tmp_path, capsys, iters):
+        out_wav = tmp_path / "no.wav"
+        code = run(["reconstruct", "--checkpoint", str(tmp_path / "missing.ckpt"),
+                    "--features", str(tmp_path / "missing.feat"), "--out", str(out_wav), "--gl-iters", iters])
+        captured = capsys.readouterr()
+        assert code == 1 and not out_wav.exists()
+        assert "warning" not in captured.out
+        assert captured.err.strip().splitlines() == [f"error: --gl-iters must be at least 1, got {iters}"]
+
     def test_dimension_mismatch_exits_one(self, cli_run, tmp_path):
         bad = inference.FeatureTrack(features=np.zeros((10, 5), dtype=np.float32))
         p = tmp_path / "bad.feat"
@@ -309,7 +329,7 @@ class TestEvalCmd:
     def test_non_finite_snr_exits_one(self, cli_run, cli_corpus, tmp_path, capsys):
         with pytest.raises(SalientError, match="finite"):
             cli._parse_snr_list("0,nan")
-        for snrs, why in (("0,inf", "finite"), ("", "at least one")):
+        for snrs, why in (("0,inf", "finite"), ("", "at least one"), ("5,5.0", "only once")):
             assert run(["eval", "--checkpoint", str(cli_run / "best.ckpt"),
                         "--manifest", str(cli_corpus / "manifest.jsonl"),
                         "--snr-list", snrs, "--report", str(tmp_path / "r.json")]) == 1

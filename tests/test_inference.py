@@ -5,6 +5,7 @@ import struct
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from salient import audio, corpus, inference, model
 from salient.audio import AudioBuffer
@@ -116,6 +117,34 @@ class TestGriffinLim:
             wsum[t * hop : t * hop + width] += win * win
         assert audio.istft(spec).tobytes() == (out / np.maximum(wsum, 0.25)).tobytes()
 
+    def test_stft_matches_frame_by_frame_rfft(self):
+        x = named_stream(25, "stft").uniform(-0.9, 0.9, 5000)
+        hop, width = audio.HOP_SAMPLES, audio.FRAME_SAMPLES
+        frames = [x[t * hop : t * hop + width] * audio._WIN_FULL for t in range(audio.frame_count(len(x)))]
+        want = np.array([scipy.fft.rfft(f, n=audio.N_FFT) for f in frames])
+        assert audio.stft(x).tobytes() == want.tobytes()
+
+    def test_float32_pair_stays_float32_and_inverts_away_from_the_edges(self):
+        x = named_stream(23, "stft").uniform(-0.9, 0.9, 16000).astype(np.float32)
+        spec = audio.stft(x)
+        y = audio.istft(spec)
+        assert spec.dtype == np.complex64 and y.dtype == np.float32
+        hop = audio.HOP_SAMPLES
+        assert np.max(np.abs(y[hop:-hop] - x[hop:-hop])) <= 1e-6
+
+    def test_float32_istft_matches_frame_by_frame_overlap_add(self):
+        frames = named_stream(24, "istft").standard_normal((7, audio.FRAME_SAMPLES)).astype(np.float32)
+        spec = scipy.fft.rfft(frames, n=audio.N_FFT)
+        win, hop, width = audio._WIN_FULL32, audio.HOP_SAMPLES, audio.FRAME_SAMPLES
+        y = scipy.fft.irfft(spec, n=audio.N_FFT, axis=1)[:, :width]
+        out = np.zeros(6 * hop + width, dtype=np.float32)
+        wsum = np.zeros(6 * hop + width, dtype=np.float32)
+        for t in range(7):
+            out[t * hop : t * hop + width] += y[t] * win
+            wsum[t * hop : t * hop + width] += win * win
+        assert spec.dtype == np.complex64
+        assert audio.istft(spec).tobytes() == (out / np.maximum(wsum, np.float32(0.25))).tobytes()
+
     def test_invalid_iterations(self):
         with pytest.raises(InvalidIterations):
             inference.griffin_lim(np.zeros((5, 80)), iterations=0)
@@ -130,6 +159,36 @@ class TestGriffinLim:
         mel = audio.frame_matrix(buf)[:, :80]
         out = inference.griffin_lim(mel, iterations=10)
         assert np.max(np.abs(out.samples)) == pytest.approx(0.9, abs=1e-4)
+
+
+def _griffin_lim_float64(mel_track, iterations):
+    """Reference: the same phase recovery iterated in float64."""
+    mag = np.sqrt(inference.mel_to_linear_power(mel_track))
+    x = audio.istft(mag * np.exp(2j * np.pi * np.random.default_rng(0).random(mag.shape)))
+    for _ in range(iterations - 1):
+        spec = audio.stft(x)
+        x = audio.istft(mag * (spec / np.maximum(np.abs(spec), 1e-12)))
+    peak = np.max(np.abs(x))
+    return 0.9 * x / peak if peak > 1e-6 else x
+
+
+class TestGriffinLimFloat32:
+    @pytest.mark.parametrize("source", ["sine", 0, 1])
+    def test_matches_float64_iteration(self, tiny_corpus, source):
+        if source == "sine":
+            buf = make_sine(440.0, seconds=0.5, amplitude=0.8)
+        else:
+            buf = audio.load_wav(tiny_corpus.entries[source].clean_path)
+        mel = audio.frame_matrix(buf)[:, : audio.N_MELS]
+        got = inference.griffin_lim(mel, iterations=60).samples
+        want = _griffin_lim_float64(mel, 60)
+        assert got.dtype == np.float32 and got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-3
+
+        def correlation(x):
+            return np.corrcoef(mel.ravel(), audio.frame_matrix(x)[:, : audio.N_MELS].ravel())[0, 1]
+
+        assert abs(correlation(got) - correlation(want)) <= 1e-3
 
 
 class TestEvaluate:
