@@ -206,29 +206,35 @@ def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return tape._record(dx @ dw + b.data, "dense", (ix, iw, ib), bwd)
 
 
-def lstm(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
-    """One LSTM layer over a time-major sequence x (T, B, D) from a zero
-    state; returns the hidden states (T, B, H). wx (D, 4H), wh (H, 4H) and
-    b (4H,) hold the gates in the order [input, forget, candidate, output].
-    Each step computes its own x_t @ wx and h @ wh, so a step's output does
-    not depend on the steps after it. The backward pass is backpropagation
-    through time over the cached gate activations."""
-    tape = _check_tape(x, wx, wh, b)
-    h = wh.shape[0]
-    if x.data.ndim != 3 or wx.shape != (x.shape[2], 4 * h) or wh.shape != (h, 4 * h) or b.shape != (4 * h,):
-        raise ShapeMismatch(f"lstm: x {x.shape}, wx {wx.shape}, wh {wh.shape}, b {b.shape}")
+def lstm_forward(x: np.ndarray, wx: np.ndarray, wh: np.ndarray, b: np.ndarray) -> tuple:
+    """One LSTM layer over a time-major x (T, B, D) from a zero state, gates
+    [input, forget, candidate, output] in wx (D, 4H), wh (H, 4H), b (4H,).
+    Each step computes its own x_t @ wx and h @ wh, so no output depends on
+    later steps. Returns the states hs, cs (T + 1, B, H) and the gates."""
     steps, rows, _ = x.shape
-    dx, dwx, dwh, db = x.data, wx.data, wh.data, b.data
-    hs = np.zeros((steps + 1, rows, h), dtype=tape.dtype)  # hs[t + 1]: state after step t
+    h = wh.shape[0]
+    hs = np.zeros((steps + 1, rows, h), dtype=x.dtype)
     cs = np.zeros_like(hs)
-    acts = np.empty((steps, rows, 4 * h), dtype=tape.dtype)
+    acts = np.empty((steps, rows, 4 * h), dtype=x.dtype)
     for t in range(steps):
-        pre = dx[t] @ dwx + db + hs[t] @ dwh
+        pre = x[t] @ wx + b + hs[t] @ wh
         acts[t] = expit(pre)
         acts[t, :, 2 * h : 3 * h] = np.tanh(pre[:, 2 * h : 3 * h])
         i_gate, f_gate, g_cand, o_gate = acts[t].reshape(rows, 4, h).swapaxes(0, 1)
         cs[t + 1] = f_gate * cs[t] + i_gate * g_cand
         hs[t + 1] = o_gate * np.tanh(cs[t + 1])
+    return hs, cs, acts
+
+
+def lstm(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
+    """`lstm_forward` as a tape op, with a backpropagation-through-time backward."""
+    tape = _check_tape(x, wx, wh, b)
+    h = wh.shape[0]
+    if x.data.ndim != 3 or wx.shape != (x.shape[2], 4 * h) or wh.shape != (h, 4 * h) or b.shape != (4 * h,):
+        raise ShapeMismatch(f"lstm: x {x.shape}, wx {wx.shape}, wh {wh.shape}, b {b.shape}")
+    steps, rows, _ = x.shape
+    dx, dwx, dwh = x.data, wx.data, wh.data
+    hs, cs, acts = lstm_forward(dx, dwx, dwh, b.data)
     ix, iwx, iwh, ib = x.idx, wx.idx, wh.idx, b.idx
     need_dx = tape._needs[ix]
 

@@ -131,29 +131,26 @@ def track_rmse(a: np.ndarray, b: np.ndarray) -> float:
 
 def _eval_one(params, entry, snr_list, seed):
     clean = audio.load_wav(entry.clean_path)
-    clean_frames = audio.frame_matrix(clean)
-    clean_features = encode_sequence(params, normalize(params, clean_frames))
-    rows = []
+    frames = [audio.frame_matrix(clean)]
     for snr_db in snr_list:
         rng = named_stream(seed, f"eval/{entry.utterance_id}/{snr_db}")
-        noisy = corpus_mod.mix_clones(clean.samples, entry, 1, rng, snr_db=snr_db)[0]
-        noisy_track = extract_features(params, noisy)
-        recon = reconstruct_mel(params, noisy_track)
-        rows.append(
-            {
-                "id": entry.utterance_id,
-                "snr_db": float(snr_db),
-                "cross_clone_rmse": track_rmse(noisy_track.features, clean_features),
-                "mel_recon_mse": float(np.mean(np.square(recon - clean_frames, dtype=np.float64))),
-            }
-        )
-    return rows, clean_features
+        frames.append(audio.frame_matrix(corpus_mod.mix_clones(clean.samples, entry, 1, rng, snr_db=snr_db)[0]))
+    frames = np.stack(frames)
+    features = encode_sequence(params, normalize(params, frames))
+    recon = denormalize(params, decode_sequence(params, features[1:]))
+    rows = [
+        {"id": entry.utterance_id, "snr_db": float(snr_db), "cross_clone_rmse": track_rmse(features[k + 1], features[0]),
+         "mel_recon_mse": float(np.mean(np.square(recon[k] - frames[0], dtype=np.float64)))}
+        for k, snr_db in enumerate(snr_list)
+    ]
+    return rows, features[0]
 
 
 def evaluate(params: ModelParams, manifest: Manifest, snr_list) -> EvalReport:
-    """Per utterance and SNR: build one noisy version, compare noisy-input
-    features against clean-input features (cross-clone RMSE), and compare the
-    decoded mel of the noisy input against the clean frames. Clean-input
+    """Per utterance, mix one noisy version per SNR, encode the clean and
+    noisy tracks as one batch and decode the noisy features as another.
+    Each noisy track's features are compared with the clean track's
+    (cross-clone RMSE) and its decoded mel with the clean frames. Clean-input
     features are pooled for the prior-shape statistics. Deterministic given
     the manifest seed; utterances are processed in id order."""
     if not manifest.entries:
@@ -165,12 +162,10 @@ def evaluate(params: ModelParams, manifest: Manifest, snr_list) -> EvalReport:
 
     per_utterance = [row for rows, _ in results for row in rows]
     pooled = np.concatenate([feats for _, feats in results], axis=0).astype(np.float64)
-    mu = pooled.mean(axis=0)
-    var = pooled.var(axis=0)
+    mu, var = pooled.mean(axis=0), pooled.var(axis=0)
     kurt = np.mean((pooled - mu) ** 4, axis=0) / np.maximum(var * var, 1e-24) - 3.0
 
-    by_snr_rmse = {}
-    by_snr_mse = {}
+    by_snr_rmse, by_snr_mse = {}, {}
     for snr_db in snr_list:
         rows = [r for r in per_utterance if r["snr_db"] == snr_db]
         by_snr_rmse[f"{snr_db:g}"] = float(np.mean([r["cross_clone_rmse"] for r in rows]))
@@ -227,8 +222,10 @@ def import_features(path) -> FeatureTrack:
             raise TruncatedFile(f"{path}: expected {t}x{l} values, {left} bytes left")
         if 4 * t * l < left:
             raise CorruptFile(f"{path}: trailing bytes after the {t}x{l} values")
-        raw = fh.read(4 * t * l)
-    return FeatureTrack(features=np.frombuffer(raw, dtype="<f4").reshape(t, l).copy())
+        feats = np.frombuffer(fh.read(4 * t * l), dtype="<f4").reshape(t, l)
+    if not np.isfinite(feats).all():
+        raise CorruptFile(f"{path}: feature values include NaN or infinity")
+    return FeatureTrack(features=feats.copy())
 
 
 def export_features_csv(track: FeatureTrack, path) -> None:

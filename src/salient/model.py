@@ -24,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
-from .errors import BadMagic, CorruptFile, ShapeMismatch, TruncatedFile, VersionMismatch
+from .errors import BadMagic, CorruptFile, NonFiniteValue, ShapeMismatch, TruncatedFile, VersionMismatch
 from .seeding import named_stream
 
 CHECKPOINT_MAGIC = b"SLNT"
@@ -123,34 +123,37 @@ def denormalize(params: ModelParams, frames: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# tape graph builders (shared by inference and training)
+# layer stacks: on tape Tensors for training, on plain arrays for inference
 # ---------------------------------------------------------------------------
 
-def _dense(seq: Tensor, leaves: dict, name: str) -> Tensor:
-    return ad.dense(seq, leaves[f"{name}.w"], leaves[f"{name}.b"])
+def _dense(seq, leaves: dict, name: str):
+    w, b = leaves[f"{name}.w"], leaves[f"{name}.b"]
+    return ad.dense(seq, w, b) if isinstance(seq, Tensor) else seq @ w + b
 
 
-def _lstm_stack(seq: Tensor, leaves: dict, prefix: str, layers: int) -> Tensor:
+def _lstm_stack(seq, leaves: dict, prefix: str, layers: int):
     for i in range(layers):
-        name = f"{prefix}.lstm{i}"
-        seq = ad.lstm(seq, leaves[f"{name}.wx"], leaves[f"{name}.wh"], leaves[f"{name}.b"])
+        wx, wh, b = (leaves[f"{prefix}.lstm{i}.{k}"] for k in ("wx", "wh", "b"))
+        seq = ad.lstm(seq, wx, wh, b) if isinstance(seq, Tensor) else ad.lstm_forward(seq, wx, wh, b)[0][1:]
     return seq
 
 
-def encoder_graph(leaves: dict, config: EncoderConfig, x: Tensor) -> Tensor:
+def _fc_stack(seq, leaves: dict, prefix: str, layers: int):
+    for i in range(layers):
+        seq = _dense(seq, leaves, f"{prefix}.fc{i}")
+        seq = seq.tanh() if isinstance(seq, Tensor) else np.tanh(seq)
+    return seq
+
+
+def encoder_graph(leaves: dict, config: EncoderConfig, x):
     """Features (T, B, L) for a time-major input sequence (T, B, input_dim)."""
-    seq = _lstm_stack(x, leaves, "enc", config.lstm_layers)
-    for i in range(config.fc_layers):
-        seq = _dense(seq, leaves, f"enc.fc{i}").tanh()
+    seq = _fc_stack(_lstm_stack(x, leaves, "enc", config.lstm_layers), leaves, "enc", config.fc_layers)
     return _dense(seq, leaves, "enc.head")
 
 
-def decoder_graph(leaves: dict, config: EncoderConfig, z: Tensor) -> Tensor:
+def decoder_graph(leaves: dict, config: EncoderConfig, z):
     """Reconstructions (T, B, input_dim) for time-major features (T, B, L)."""
-    seq = z
-    for i in range(config.fc_layers):
-        seq = _dense(seq, leaves, f"dec.fc{i}").tanh()
-    seq = _lstm_stack(seq, leaves, "dec", config.lstm_layers)
+    seq = _lstm_stack(_fc_stack(z, leaves, "dec", config.fc_layers), leaves, "dec", config.lstm_layers)
     return _dense(seq, leaves, "dec.head")
 
 
@@ -166,22 +169,26 @@ def param_leaves(tape: Tape, params: ModelParams, requires_grad: bool = True) ->
 
 def _run_sequence(params: ModelParams, rows: np.ndarray, builder, in_dim: int, what: str) -> np.ndarray:
     rows = np.asarray(rows, dtype=np.float32)
-    if rows.ndim != 2 or rows.shape[1] != in_dim or rows.shape[0] < 1:
-        raise ShapeMismatch(f"{what}: expected (T, {in_dim}) with T >= 1, got {rows.shape}")
-    tape = Tape(np.float32)
-    leaves = param_leaves(tape, params, requires_grad=False)
-    out = builder(leaves, params.config, tape.constant(rows[:, None, :]))
-    return out.data[:, 0, :]
+    if rows.ndim not in (2, 3) or rows.shape[-1] != in_dim or rows.shape[-2] < 1:
+        raise ShapeMismatch(f"{what}: expected (T, {in_dim}) or (B, T, {in_dim}) with T >= 1, got {rows.shape}")
+    if not (np.isfinite(rows).all() and all(np.isfinite(v).all() for v in params.tensors.values())):
+        raise NonFiniteValue(f"{what}: non-finite input row or parameter")
+    # a (T, D) input keeps its memory layout, so its products are the tape's bit for bit
+    seq = rows[:, None] if rows.ndim == 2 else np.ascontiguousarray(rows.swapaxes(0, 1))
+    out = builder(params.tensors, params.config, seq)
+    if not np.isfinite(out).all():
+        raise NonFiniteValue(f"{what}: non-finite output")
+    return out[:, 0] if rows.ndim == 2 else out.swapaxes(0, 1)
 
 
 def encode_sequence(params: ModelParams, frames: np.ndarray) -> np.ndarray:
-    """Features (T, L) for normalized frames (T, input_dim); causal, zero
-    initial state, one feature vector per frame."""
+    """Features (T, L) for normalized frames (T, input_dim), or (B, T, L) for
+    B tracks of T frames; causal, zero initial state, computed without a tape."""
     return _run_sequence(params, frames, encoder_graph, params.config.input_dim, "encode_sequence")
 
 
 def decode_sequence(params: ModelParams, features: np.ndarray) -> np.ndarray:
-    """Normalized-space reconstructions (T, input_dim) for features (T, L)."""
+    """Normalized-space reconstructions for features (T, L) or (B, T, L)."""
     return _run_sequence(params, features, decoder_graph, params.config.feature_dim, "decode_sequence")
 
 

@@ -259,6 +259,18 @@ class TestReconstructCmd:
                     "--out", str(tmp_path / "no.wav")])
         assert code == 1
 
+    def test_non_finite_features_exit_one_without_a_wav(self, cli_run, tmp_path, capsys):
+        features = np.zeros((10, 12), dtype=np.float32)
+        features[5, 0] = np.nan
+        p = tmp_path / "nan.feat"
+        inference.export_features(inference.FeatureTrack(features=features), p)
+        out_wav = tmp_path / "no.wav"
+        code = run(["reconstruct", "--checkpoint", str(cli_run / "best.ckpt"), "--features", str(p),
+                    "--out", str(out_wav)])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 1 and not out_wav.exists()
+        assert len(err) == 1 and str(p) in err[0]
+
 
 class TestCorruptHeaders:
     def test_reconstruct_oversized_feature_header_exits_one(self, cli_run, tmp_path, capsys):

@@ -15,6 +15,7 @@ from salient.errors import (
     CorruptFile,
     InvalidIterations,
     ManifestEmpty,
+    NonFiniteValue,
     TooShort,
     TruncatedFile,
 )
@@ -68,6 +69,12 @@ class TestReconstructMel:
         bad = inference.FeatureTrack(features=np.zeros((10, 7), dtype=np.float32))
         with pytest.raises(ConfigMismatch):
             inference.reconstruct_mel(desk_params, bad)
+
+    def test_non_finite_track_raises(self, desk_params):
+        features = np.zeros((10, 5), dtype=np.float32)
+        features[4, 1] = np.nan
+        with pytest.raises(NonFiniteValue):
+            inference.reconstruct_mel(desk_params, inference.FeatureTrack(features=features))
 
 
 class TestGriffinLim:
@@ -217,6 +224,29 @@ class TestEvaluate:
         with pytest.raises(ManifestEmpty):
             inference.evaluate(desk_params, corpus.Manifest((), 0), [5.0])
 
+    def test_batched_rows_match_one_track_recomputation(self, desk_params, tiny_corpus):
+        # evaluate runs an utterance's clean and noisy tracks as one batch;
+        # each row must match the same metrics computed one track at a time
+        snrs = [0.0, 5.0, 10.0, 15.0]
+        report = inference.evaluate(desk_params, tiny_corpus, snrs)
+        rows = iter(report.per_utterance)
+        for entry in sorted(tiny_corpus.entries, key=lambda e: e.utterance_id):
+            clean = audio.load_wav(entry.clean_path)
+            clean_frames = audio.frame_matrix(clean)
+            clean_features = inference.extract_features(desk_params, clean).features
+            for snr_db in snrs:
+                rng = named_stream(tiny_corpus.seed, f"eval/{entry.utterance_id}/{snr_db}")
+                noisy = corpus.mix_clones(clean.samples, entry, 1, rng, snr_db=snr_db)[0]
+                track = inference.extract_features(desk_params, noisy)
+                recon = inference.reconstruct_mel(desk_params, track)
+                row = next(rows)
+                assert (row["id"], row["snr_db"]) == (entry.utterance_id, snr_db)
+                rmse = inference.track_rmse(track.features, clean_features)
+                mse = float(np.mean(np.square(recon - clean_frames, dtype=np.float64)))
+                assert row["cross_clone_rmse"] == pytest.approx(rmse, rel=1e-6)
+                assert row["mel_recon_mse"] == pytest.approx(mse, rel=1e-6)
+        assert next(rows, None) is None
+
 
 class TestFeatureFiles:
     def test_roundtrip_bit_exact(self, tmp_path):
@@ -273,4 +303,13 @@ class TestFeatureFiles:
         header = inference.FEATURE_MAGIC + struct.pack("<IIII", inference.FEATURE_VERSION, 4, 9, 10)
         p.write_bytes(header + np.zeros((9, 4), dtype="<f4").tobytes())
         with pytest.raises(ConfigMismatch, match="10 ms"):
+            inference.import_features(p)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values(self, tmp_path, bad):
+        features = np.zeros((9, 4), dtype=np.float32)
+        features[3, 2] = bad
+        p = tmp_path / "t.feat"
+        inference.export_features(inference.FeatureTrack(features=features), p)
+        with pytest.raises(CorruptFile, match="t.feat"):
             inference.import_features(p)

@@ -10,7 +10,7 @@ import pytest
 
 from salient import autodiff as ad
 from salient import model
-from salient.errors import BadMagic, CorruptFile, ShapeMismatch, TruncatedFile, VersionMismatch
+from salient.errors import BadMagic, CorruptFile, NonFiniteValue, ShapeMismatch, TruncatedFile, VersionMismatch
 from salient.losses import LossWeights, laplace_prior_sample
 from salient.seeding import named_stream
 from salient.selfcheck import flat_composite_loss, flatten_params
@@ -95,6 +95,98 @@ class TestForward:
             model.encode_sequence(p, np.zeros((4, tiny_model_config.input_dim + 1)))
         with pytest.raises(ShapeMismatch):
             model.decode_sequence(p, np.zeros((0, tiny_model_config.feature_dim)))
+
+
+class TestTapeFree:
+    """encode_sequence/decode_sequence run the graph builders' layers on
+    plain arrays: the same products as the float32 tape, one LSTM forward."""
+
+    def _params(self, cfg, seed):
+        p = model.init_params(cfg, seed=seed)
+        rng = named_stream(seed, "biases")
+        for k in p.tensors:
+            if k.endswith(".b"):
+                p.tensors[k] = p.tensors[k] + rng.uniform(-0.5, 0.5, p.tensors[k].shape).astype(np.float32)
+        return p
+
+    def _on_tape(self, p, builder, rows):
+        """The builder on a float32 tape for (B, T, D) rows, batch-major out."""
+        tape = ad.Tape(np.float32)
+        leaves = model.param_leaves(tape, p, requires_grad=False)
+        x = tape.constant(np.ascontiguousarray(rows.swapaxes(0, 1)))
+        return builder(leaves, p.config, x).data.swapaxes(0, 1)
+
+    @pytest.mark.parametrize("rows", [1, 5])
+    def test_bitwise_equal_to_the_tape_graph(self, tiny_model_config, rows):
+        p = self._params(tiny_model_config, seed=31)
+        frames = named_stream(31, "tf").standard_normal((rows, 9, tiny_model_config.input_dim)).astype(np.float32)
+        z = model.encode_sequence(p, frames)
+        assert z.shape == (rows, 9, tiny_model_config.feature_dim)
+        assert np.array_equal(z, self._on_tape(p, model.encoder_graph, frames))
+        out = model.decode_sequence(p, z)
+        assert out.shape == (rows, 9, tiny_model_config.input_dim)
+        assert np.array_equal(out, self._on_tape(p, model.decoder_graph, z))
+
+    def test_one_track_bitwise_equal_to_the_tape_graph(self):
+        # a (T, D) track in the column-major layout audio.frame_matrix
+        # returns, at desk size, where BLAS sums a strided row in another order
+        p = self._params(model.PRESETS["desk"], seed=32)
+        frames = np.asfortranarray(named_stream(32, "tf").standard_normal((30, 240)), np.float32)
+        tape = ad.Tape(np.float32)
+        leaves = model.param_leaves(tape, p, requires_grad=False)
+        want = model.encoder_graph(leaves, p.config, tape.constant(frames[:, None, :])).data[:, 0, :]
+        assert np.array_equal(model.encode_sequence(p, frames), want)
+
+    def test_batch_matches_one_track_calls(self, tiny_model_config):
+        p = self._params(tiny_model_config, seed=33)
+        frames = named_stream(33, "tf").standard_normal((5, 11, tiny_model_config.input_dim)).astype(np.float32)
+        z = model.encode_sequence(p, frames)
+        out = model.decode_sequence(p, z)
+        for i in range(5):
+            np.testing.assert_allclose(z[i], model.encode_sequence(p, frames[i]), rtol=1e-6, atol=1e-6)
+            np.testing.assert_allclose(out[i], model.decode_sequence(p, z[i]), rtol=1e-6, atol=1e-6)
+
+    def test_batch_shape_mismatch(self, tiny_model_config):
+        p = model.init_params(tiny_model_config, seed=34)
+        n, l = tiny_model_config.input_dim, tiny_model_config.feature_dim
+        for call, shape in [
+            (model.encode_sequence, (3, 0, n)),
+            (model.encode_sequence, (3, 4, n + 1)),
+            (model.decode_sequence, (3, 0, l)),
+            (model.decode_sequence, (3, 4, l - 1)),
+            (model.encode_sequence, (2, 3, 4, n)),
+        ]:
+            with pytest.raises(ShapeMismatch):
+                call(p, np.zeros(shape, dtype=np.float32))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rows_raise(self, tiny_model_config, bad):
+        p = model.init_params(tiny_model_config, seed=35)
+        frames = np.zeros((4, tiny_model_config.input_dim), dtype=np.float32)
+        frames[2, 3] = bad
+        with pytest.raises(NonFiniteValue):
+            model.encode_sequence(p, frames)
+
+    @pytest.mark.parametrize("name", ["enc.head.w", "enc.lstm0.wx", "dec.head.w"])
+    def test_non_finite_parameter_raises(self, tiny_model_config, name):
+        # an inf input weight saturates its gate, and encoding never reads
+        # the decoder: only a check of every parameter catches both
+        p = model.init_params(tiny_model_config, seed=36)
+        p.tensors[name][0, 0] = np.inf
+        frames = named_stream(36, "tf").standard_normal((4, tiny_model_config.input_dim)).astype(np.float32)
+        with pytest.raises(NonFiniteValue):
+            model.encode_sequence(p, frames)
+
+
+    def test_overflowing_output_raises(self, tiny_model_config):
+        # saturated gates hold every hidden unit near tanh(1); a head of
+        # finite float32 maxima then sums past the largest float32
+        p = model.init_params(tiny_model_config, seed=37)
+        p.tensors["dec.lstm1.b"][:] = 20.0
+        p.tensors["dec.head.w"][:] = np.finfo(np.float32).max
+        features = named_stream(37, "tf").standard_normal((4, tiny_model_config.feature_dim)).astype(np.float32)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteValue):
+            model.decode_sequence(p, features)
 
 
 class TestNormalize:

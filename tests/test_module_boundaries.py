@@ -89,3 +89,45 @@ def test_every_tape_op_has_a_caller_in_another_module():
     assert {"dense", "sub", "lstm", "imq_mmd", "Tensor.tanh", "Tensor.sqnorm"} <= ops
     called = set().union(*(op_calls(p) for p in SRC.glob("*.py") if p.name != "autodiff.py"))
     assert sorted(ops - called) == []
+
+
+def _callee(call: ast.Call):
+    f = call.func
+    return f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+
+
+def calls_of(tree: ast.AST, name: str) -> list:
+    """The calls in `tree` of `name`, as `name(...)` or `x.name(...)`."""
+    return [n for n in ast.walk(tree) if isinstance(n, ast.Call) and _callee(n) == name]
+
+
+def functions_calling(name: str) -> set:
+    """`module.function` for each function of the package that calls `name`
+    in its own body (a call in a nested function counts for the nested one;
+    a module-level call for `module.<module>`)."""
+    found = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and _callee(child) == name:
+                found.add(owner)
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, f"{owner.split('.')[0]}.{child.name}" if inner else owner)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text()), f"{path.stem}.<module>")
+    return found
+
+
+def test_one_function_computes_the_lstm_gates():
+    # training's tape op and tape-free inference share one LSTM forward
+    callers = functions_calling("expit")
+    assert len(callers) == 1, callers
+    assert "autodiff.lstm" in functions_calling(next(iter(callers)).split(".")[1])
+
+
+def test_inference_builds_no_tape():
+    tree = ast.parse((SRC / "model.py").read_text())
+    run_sequence = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "_run_sequence")
+    assert calls_of(run_sequence, "Tape") == []
+    assert calls_of(ast.parse((SRC / "inference.py").read_text()), "Tape") == []
