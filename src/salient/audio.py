@@ -156,24 +156,17 @@ def _mel_csr() -> scipy.sparse.csr_array:
 # framing
 # ---------------------------------------------------------------------------
 
-def _logmel_rows(segments: np.ndarray, window: np.ndarray) -> np.ndarray:
-    """(..., 80) float32 log-mel rows for (..., win) float32 signal segments.
+def _log_mel(spectrum: np.ndarray) -> np.ndarray:
+    """(..., 80) float32 log-mel rows for (..., 513) complex64 spectra.
 
-    The FFT and the sparse projection run once for all rows, and both are
-    bit-identical to one call per row: the FFT transforms each row alone,
-    and the CSR kernel sums each band's nonzeros in one fixed order for
-    every row. So a row's bits do not depend on how many rows are framed
-    together (a dense GEMM would block the rows and break that).
+    The sparse projection runs once for all rows and is bit-identical to
+    one call per row: the CSR kernel sums each band's nonzeros in one fixed
+    order for every row. So a row's bits do not depend on how many rows are
+    framed together (a dense GEMM would block the rows and break that).
     """
-    spectrum = scipy.fft.rfft(segments * window, n=N_FFT, axis=-1)
     power = spectrum.real**2 + spectrum.imag**2
     mel = (_mel_csr() @ power.reshape(-1, power.shape[-1]).T).T
     return np.log(mel.reshape(power.shape[:-1] + (N_MELS,)) + np.float32(LOG_FLOOR))
-
-
-def _frame_grid(n_frames: int) -> np.ndarray:
-    """(n_frames, 640) sample indices of the 40 ms frames at starts 0, 320, ..."""
-    return np.arange(n_frames)[:, None] * HOP_SAMPLES + np.arange(FRAME_SAMPLES)
 
 
 def frame_count(n_samples: int) -> int:
@@ -186,21 +179,21 @@ def frame_matrix(signal) -> np.ndarray:
 
     `signal` is an AudioBuffer or a float array whose last axis is samples;
     the result is (..., T, 240), and each signal's rows are bitwise the ones
-    it gets when framed alone.
+    it gets when framed alone: the FFTs transform each row alone, and so
+    does `_log_mel`'s projection.
     """
     x = signal.samples if isinstance(signal, AudioBuffer) else np.asarray(signal)
     if x.shape[-1] < FRAME_SAMPLES:
         raise TooShort(f"need at least {FRAME_SAMPLES} samples, got {x.shape[-1]}")
-    full = x.astype(np.float32, copy=False)[..., _frame_grid(frame_count(x.shape[-1]))]
-    sub1, sub2 = (full[..., k : k + SUB_SAMPLES] for k in SUB_OFFSETS)
-    return np.concatenate(
-        [
-            _logmel_rows(full, _WIN_FULL32),
-            _logmel_rows(sub1, _WIN_SUB32),
-            _logmel_rows(sub2, _WIN_SUB32),
-        ],
-        axis=-1,
-    )
+    x = x.astype(np.float32, copy=False)
+    lead, n = x.shape[:-1], frame_count(x.shape[-1])
+    mels = [_log_mel(stft(x))]
+    for k in SUB_OFFSETS:
+        # frame t's sub-window is the 320-sample block starting at k + 320t,
+        # so the sub-windows of all frames tile x[k : k + 320n]
+        sub = x[..., k : k + n * SUB_SAMPLES].reshape(lead + (n, SUB_SAMPLES))
+        mels.append(_log_mel(scipy.fft.rfft(sub * _WIN_SUB32, n=N_FFT, axis=-1)))
+    return np.concatenate(mels, axis=-1)
 
 
 def dual_window_frame(audio: AudioBuffer, frame_start_sample: int) -> np.ndarray:
@@ -216,15 +209,16 @@ def dual_window_frame(audio: AudioBuffer, frame_start_sample: int) -> np.ndarray
 # ---------------------------------------------------------------------------
 
 def stft(x: np.ndarray) -> np.ndarray:
-    """(T, 513) spectra, in `x`'s precision, of its 40 ms Hann frames at hop
-    320: the transform `frame_matrix`'s full window takes its power from."""
+    """(..., T, 513) spectra, in `x`'s precision, of the 40 ms Hann frames at
+    hop 320 along `x`'s last axis: the transform `frame_matrix`'s full
+    window takes its power from."""
     win = _WIN_FULL32 if x.dtype == np.float32 else _WIN_FULL
-    n = frame_count(len(x))
+    lead, n = x.shape[:-1], frame_count(x.shape[-1])
     # frame t is half-hop blocks t and t+1, padded here, not by rfft(n=N_FFT)
-    halves = x[: (n + 1) * HOP_SAMPLES].reshape(n + 1, HOP_SAMPLES)
-    frames = np.zeros((n, N_FFT), dtype=win.dtype)
-    np.multiply(halves[:-1], win[:HOP_SAMPLES], out=frames[:, :HOP_SAMPLES])
-    np.multiply(halves[1:], win[HOP_SAMPLES:], out=frames[:, HOP_SAMPLES:FRAME_SAMPLES])
+    halves = x[..., : (n + 1) * HOP_SAMPLES].reshape(lead + (n + 1, HOP_SAMPLES))
+    frames = np.zeros(lead + (n, N_FFT), dtype=win.dtype)
+    np.multiply(halves[..., :-1, :], win[:HOP_SAMPLES], out=frames[..., :HOP_SAMPLES])
+    np.multiply(halves[..., 1:, :], win[HOP_SAMPLES:], out=frames[..., HOP_SAMPLES:FRAME_SAMPLES])
     return scipy.fft.rfft(frames, axis=-1)
 
 

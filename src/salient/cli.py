@@ -86,6 +86,8 @@ def _read_config_file(path: Path, defaults: dict) -> dict:
         key = key.strip()
         if key not in _TRAIN_KEYS:
             raise SalientError(f"{path}: line {lineno}: unknown key {key!r}")
+        if key in values:
+            raise SalientError(f"{path}: line {lineno}: {key!r} is given twice")
         val = val.strip()
         try:
             number = float(val)

@@ -63,7 +63,10 @@ class EvalReport:
 def extract_features(params: ModelParams, buf: AudioBuffer | np.ndarray) -> FeatureTrack:
     """Frame the utterance, normalize, and encode the whole track in one
     causal pass from a zero initial state."""
-    frames = normalize(params, audio.frame_matrix(buf))
+    x = buf.samples if isinstance(buf, AudioBuffer) else np.asarray(buf)
+    if x.ndim != 1:
+        raise ShapeMismatch(f"expected one signal (a 1-D array), got shape {x.shape}")
+    frames = normalize(params, audio.frame_matrix(x))
     return FeatureTrack(features=encode_sequence(params, frames))
 
 

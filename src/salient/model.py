@@ -157,10 +157,10 @@ def decoder_graph(leaves: dict, config: EncoderConfig, z):
     return _dense(seq, leaves, "dec.head")
 
 
-def param_leaves(tape: Tape, params: ModelParams, requires_grad: bool = True) -> dict:
+def param_leaves(tape: Tape, params: ModelParams) -> dict:
     """One leaf per named parameter. On a float32 tape the leaf shares the
     parameter's memory (no copy), so there is a single materialization."""
-    return {k: tape.leaf(v, requires_grad=requires_grad) for k, v in params.tensors.items()}
+    return {k: tape.leaf(v) for k, v in params.tensors.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -194,6 +194,13 @@ class TestFraming:
             if n == audio.FRAME_SAMPLES:
                 assert np.array_equal(row[0], audio.dual_window_frame(audio.AudioBuffer(x), 0))
 
+    def test_full_window_is_the_log_mel_of_the_stft(self):
+        x = np.random.default_rng(12).uniform(-0.9, 0.9, 4800)
+        spec = audio.stft(x.astype(np.float32))
+        power = spec.real**2 + spec.imag**2
+        want = np.log((audio._mel_csr() @ power.T).T + np.float32(audio.LOG_FLOOR))
+        assert np.array_equal(audio.frame_matrix(x)[:, : audio.N_MELS], want)
+
     def test_sparse_projection_matches_dense_weights(self, fb):
         rng = np.random.default_rng(11)
         segments = rng.uniform(-0.9, 0.9, (37, audio.FRAME_SAMPLES)) * audio._WIN_FULL

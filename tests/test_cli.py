@@ -144,6 +144,19 @@ class TestTrainCmd:
         assert str(cfg) in err and "line 1" in err and "steps" in err and "integer" in err
         assert not (tmp_path / "o").exists()
 
+    def test_config_key_given_twice_fails(self, tmp_path, cli_corpus, capsys):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("steps=10\nseed = 2\nsteps=20\n")
+        code = run([
+            "train", "--manifest", str(cli_corpus / "manifest.jsonl"),
+            "--out", str(tmp_path / "o"), "--config", str(cfg),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "line 3" in err and "steps" in err and "twice" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_integral_config_value_accepted(self, tmp_path):
         cfg = tmp_path / "int.cfg"
         cfg.write_text("steps = 1e3\nseed = 4.0\n")

@@ -16,6 +16,7 @@ from salient.errors import (
     InvalidIterations,
     ManifestEmpty,
     NonFiniteValue,
+    ShapeMismatch,
     TooShort,
     TruncatedFile,
 )
@@ -55,6 +56,16 @@ class TestExtract:
         a = inference.extract_features(desk_params, buf).features
         b = inference.extract_features(desk_params, buf).features
         assert np.array_equal(a, b)
+
+    def test_one_signal_only(self, desk_params):
+        buf = make_sine(500.0, seconds=0.3)
+        assert np.array_equal(
+            inference.extract_features(desk_params, buf.samples).features,
+            inference.extract_features(desk_params, buf).features,
+        )
+        for shape in [(2, 16000), (1, 16000), (1, 2, 4800), ()]:
+            with pytest.raises(ShapeMismatch):
+                inference.extract_features(desk_params, np.zeros(shape, dtype=np.float32))
 
 
 class TestReconstructMel:
@@ -130,6 +141,15 @@ class TestGriffinLim:
         frames = [x[t * hop : t * hop + width] * audio._WIN_FULL for t in range(audio.frame_count(len(x)))]
         want = np.array([scipy.fft.rfft(f, n=audio.N_FFT) for f in frames])
         assert audio.stft(x).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_stacked_stft_rows_match_each_signal_alone_bitwise(self, k, dtype):
+        x = named_stream(26, "stft").uniform(-0.9, 0.9, (k, 2500)).astype(dtype)
+        spec = audio.stft(x)
+        assert spec.shape == (k, audio.frame_count(2500), audio.N_FFT // 2 + 1)
+        for row, signal in zip(spec, x):
+            assert row.tobytes() == audio.stft(signal).tobytes()
 
     def test_float32_pair_stays_float32_and_inverts_away_from_the_edges(self):
         x = named_stream(23, "stft").uniform(-0.9, 0.9, 16000).astype(np.float32)
