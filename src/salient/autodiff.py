@@ -111,7 +111,8 @@ class Gradients:
         self._grads = grads
 
     def wrt(self, t: Tensor):
-        """Gradient array for `t`, or None if no path reached it."""
+        """Gradient array for the leaf `t`, or None if no path reached it.
+        Only leaves keep theirs: an op's output always answers None."""
         if t.tape is not self._tape:
             raise DetachedGraph("tensor does not belong to the differentiated tape")
         return self._grads[t.idx]
@@ -131,7 +132,7 @@ def _check_tape(*ts: Tensor) -> Tape:
 
 
 def backward(loss: Tensor) -> Gradients:
-    """Reverse sweep from a scalar; returns exact reverse-mode gradients."""
+    """Reverse sweep from a scalar; returns its leaves' exact gradients."""
     tape = loss.tape
     if loss.data.shape != ():
         raise NotScalar(f"backward needs a scalar, got shape {loss.data.shape}")
@@ -141,9 +142,10 @@ def backward(loss: Tensor) -> Gradients:
         g = grads[idx]
         if g is None:
             continue
-        _, _, bwd = tape._ops[idx]
+        name, _, bwd = tape._ops[idx]
         if bwd is not None:
             bwd(g, grads)
+        grads[idx] = g if name == "leaf" else None  # an op's gradient is spent once its backward ran
     return Gradients(tape, grads)
 
 
@@ -190,34 +192,36 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b for x (M, K), or a time-major (T, M, K) that numpy runs as
     one product per slice, so each slice equals its own 2-D product; w is
-    (K, N) and b (N,)."""
+    (K, N) and b (N,). The backward skips x's gradient when x needs none."""
     tape = _check_tape(x, w, b)
     if x.data.ndim not in (2, 3) or w.data.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
         raise ShapeMismatch(f"dense: {x.shape} @ {w.shape} + {b.shape}")
     ix, iw, ib = x.idx, w.idx, b.idx
     dx, dw = x.data, w.data
     lead = tuple(range(dx.ndim - 1))
+    need_dx = tape._needs[ix]
 
     def bwd(g, acc):
         _acc(acc, ib, g.sum(axis=lead))
-        _acc(acc, ix, g @ dw.T)
+        if need_dx:
+            _acc(acc, ix, g @ dw.T)
         _acc(acc, iw, dx.reshape(-1, dw.shape[0]).T @ g.reshape(-1, dw.shape[1]))
 
     return tape._record(dx @ dw + b.data, "dense", (ix, iw, ib), bwd)
 
 
-def lstm_forward(x: np.ndarray, wx: np.ndarray, wh: np.ndarray, b: np.ndarray) -> tuple:
-    """One LSTM layer over a time-major x (T, B, D) from a zero state, gates
-    [input, forget, candidate, output] in wx (D, 4H), wh (H, 4H), b (4H,).
-    Each step computes its own x_t @ wx and h @ wh, so no output depends on
-    later steps. Returns the states hs, cs (T + 1, B, H) and the gates."""
-    steps, rows, _ = x.shape
+def lstm_forward(xw: np.ndarray, wh: np.ndarray) -> tuple:
+    """One LSTM layer's recurrence from a zero state over the projected input
+    xw = x @ wx + b (T, B, 4H) of a time-major x, gates [input, forget,
+    candidate, output] along xw's last axis and wh (H, 4H). Step t adds only
+    h_t @ wh to xw[t]. Returns the states hs, cs (T + 1, B, H) and the gates."""
+    steps, rows, _ = xw.shape
     h = wh.shape[0]
-    hs = np.zeros((steps + 1, rows, h), dtype=x.dtype)
+    hs = np.zeros((steps + 1, rows, h), dtype=xw.dtype)
     cs = np.zeros_like(hs)
-    acts = np.empty((steps, rows, 4 * h), dtype=x.dtype)
+    acts = np.empty((steps, rows, 4 * h), dtype=xw.dtype)
     for t in range(steps):
-        pre = x[t] @ wx + b + hs[t] @ wh
+        pre = xw[t] + hs[t] @ wh
         acts[t] = expit(pre)
         acts[t, :, 2 * h : 3 * h] = np.tanh(pre[:, 2 * h : 3 * h])
         i_gate, f_gate, g_cand, o_gate = acts[t].reshape(rows, 4, h).swapaxes(0, 1)
@@ -226,17 +230,16 @@ def lstm_forward(x: np.ndarray, wx: np.ndarray, wh: np.ndarray, b: np.ndarray) -
     return hs, cs, acts
 
 
-def lstm(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
-    """`lstm_forward` as a tape op, with a backpropagation-through-time backward."""
-    tape = _check_tape(x, wx, wh, b)
+def lstm(xw: Tensor, wh: Tensor) -> Tensor:
+    """`lstm_forward` as a tape op with a backpropagation-through-time backward;
+    xw's gradient is the gate pre-activations', which `dense` takes to x, wx, b."""
+    tape = _check_tape(xw, wh)
     h = wh.shape[0]
-    if x.data.ndim != 3 or wx.shape != (x.shape[2], 4 * h) or wh.shape != (h, 4 * h) or b.shape != (4 * h,):
-        raise ShapeMismatch(f"lstm: x {x.shape}, wx {wx.shape}, wh {wh.shape}, b {b.shape}")
-    steps, rows, _ = x.shape
-    dx, dwx, dwh = x.data, wx.data, wh.data
-    hs, cs, acts = lstm_forward(dx, dwx, dwh, b.data)
-    ix, iwx, iwh, ib = x.idx, wx.idx, wh.idx, b.idx
-    need_dx = tape._needs[ix]
+    if xw.data.ndim != 3 or xw.shape[2] != 4 * h or wh.shape != (h, 4 * h):
+        raise ShapeMismatch(f"lstm: xw {xw.shape}, wh {wh.shape}")
+    steps, rows, _ = xw.shape
+    ixw, iwh, dwh = xw.idx, wh.idx, wh.data
+    hs, cs, acts = lstm_forward(xw.data, dwh)
 
     def bwd(g, acc):
         d_pre = np.empty_like(acts)
@@ -252,14 +255,10 @@ def lstm(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
             d_g[:] = dc * i_gate * (1.0 - g_cand * g_cand)
             d_o[:] = dh * tanh_c * o_gate * (1.0 - o_gate)
             dh, dc = d_pre[t] @ dwh.T, dc * f_gate
-        flat = d_pre.reshape(steps * rows, 4 * h)
-        if need_dx:
-            _acc(acc, ix, d_pre @ dwx.T)
-        _acc(acc, iwx, dx.reshape(steps * rows, -1).T @ flat)
-        _acc(acc, iwh, hs[:-1].reshape(steps * rows, h).T @ flat)
-        _acc(acc, ib, flat.sum(axis=0))
+        _acc(acc, ixw, d_pre)
+        _acc(acc, iwh, hs[:-1].reshape(steps * rows, h).T @ d_pre.reshape(steps * rows, 4 * h))
 
-    return tape._record(hs[1:], "lstm", (ix, iwx, iwh, ib), bwd)
+    return tape._record(hs[1:], "lstm", (ixw, iwh), bwd)
 
 
 def _imq_block(a: np.ndarray, b: np.ndarray, c: float) -> np.ndarray:

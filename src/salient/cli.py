@@ -15,7 +15,7 @@ from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import audio, corpus, inference, model, training
-from .errors import SalientError
+from .errors import InvalidRange, SalientError
 from .losses import LossWeights
 from .selfcheck import run_selfcheck
 
@@ -35,8 +35,10 @@ def _parse_snr_list(text: str) -> list:
         raise SalientError(f"bad --snr-list {text!r}: every SNR must be finite")
     if not snrs:
         raise SalientError(f"bad --snr-list {text!r}: need at least one SNR")
-    if len(set(snrs)) < len(snrs):
-        raise SalientError(f"bad --snr-list {text!r}: each SNR may appear only once")
+    try:
+        inference.snr_keys(snrs)
+    except InvalidRange as exc:
+        raise SalientError(f"bad --snr-list {text!r}: {exc}") from exc
     return snrs
 
 

@@ -287,8 +287,8 @@ def synth_corpus(
     for name, value in (("seed", seed), ("n_utterances", n_utterances)):
         if value < 0:
             raise InvalidRange(f"{name} must be >= 0, got {value}")
-    if len(snr_choices) == 0:
-        raise InvalidRange("snr_choices must not be empty")
+    if len(snr_choices) == 0 or not all(math.isfinite(s) for s in snr_choices):
+        raise InvalidRange(f"snr_choices must be a non-empty list of finite numbers, got {list(snr_choices)!r}")
     out_dir = Path(out_dir)
     rng = named_stream(seed, "corpus")
     noise_dur = 8 * audio.SAMPLE_RATE
@@ -354,7 +354,9 @@ def load_manifest(path) -> Manifest:
     seed = 0
     entries = []
     seen = set()
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    lines = path.read_text().splitlines()
+    header = next((n for n, line in enumerate(lines, start=1) if line.strip()), 0)  # the seed's line
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
@@ -364,7 +366,7 @@ def load_manifest(path) -> Manifest:
         if not isinstance(obj, dict):
             raise ParseError(f"{path}: line {lineno}: expected a JSON object, got {line.strip()!r}")
         if "id" not in obj:
-            if "seed" in obj and lineno == 1:
+            if "seed" in obj and lineno == header:
                 seed = obj["seed"]
                 if type(seed) is not int or seed < 0:
                     raise ParseError(f"{path}: line {lineno}: seed must be a non-negative integer, got {seed!r}")

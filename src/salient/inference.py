@@ -26,6 +26,7 @@ from .errors import (
     ConfigMismatch,
     CorruptFile,
     InvalidIterations,
+    InvalidRange,
     ManifestEmpty,
     ShapeMismatch,
     TruncatedFile,
@@ -149,6 +150,16 @@ def _eval_one(params, entry, snr_list, seed):
     return rows, features[0]
 
 
+def snr_keys(snrs: list) -> list:
+    """Each float SNR's key in the report's per-SNR means, `f"{snr:g}"`. Raises
+    InvalidRange if two SNRs share a key (5.0000001 and 5.0000002 both read
+    "5") or a value (-0 and 0)."""
+    keys = [f"{s:g}" for s in snrs]
+    if len(set(keys)) < len(keys) or len(set(snrs)) < len(snrs):
+        raise InvalidRange(f"each SNR may appear only once, to 6 significant digits: {', '.join(keys)}")
+    return keys
+
+
 def evaluate(params: ModelParams, manifest: Manifest, snr_list) -> EvalReport:
     """Per utterance, mix one noisy version per SNR, encode the clean and
     noisy tracks as one batch and decode the noisy features as another.
@@ -160,6 +171,7 @@ def evaluate(params: ModelParams, manifest: Manifest, snr_list) -> EvalReport:
         raise ManifestEmpty("cannot evaluate an empty manifest")
     entries = sorted(manifest.entries, key=lambda e: e.utterance_id)
     snr_list = [float(s) for s in snr_list]
+    keys = snr_keys(snr_list)
 
     results = [_eval_one(params, e, snr_list, manifest.seed) for e in entries]
 
@@ -169,10 +181,10 @@ def evaluate(params: ModelParams, manifest: Manifest, snr_list) -> EvalReport:
     kurt = np.mean((pooled - mu) ** 4, axis=0) / np.maximum(var * var, 1e-24) - 3.0
 
     by_snr_rmse, by_snr_mse = {}, {}
-    for snr_db in snr_list:
+    for snr_db, key in zip(snr_list, keys):
         rows = [r for r in per_utterance if r["snr_db"] == snr_db]
-        by_snr_rmse[f"{snr_db:g}"] = float(np.mean([r["cross_clone_rmse"] for r in rows]))
-        by_snr_mse[f"{snr_db:g}"] = float(np.mean([r["mel_recon_mse"] for r in rows]))
+        by_snr_rmse[key] = float(np.mean([r["cross_clone_rmse"] for r in rows]))
+        by_snr_mse[key] = float(np.mean([r["mel_recon_mse"] for r in rows]))
 
     return EvalReport(
         per_utterance=per_utterance,

@@ -18,7 +18,7 @@ import io
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -30,8 +30,6 @@ from .seeding import named_stream
 CHECKPOINT_MAGIC = b"SLNT"
 CHECKPOINT_VERSION = 1
 
-_CONFIG_KEYS = ("lstm_layers", "fc_layers", "hidden", "feature_dim", "input_dim")
-
 
 @dataclass(frozen=True)
 class EncoderConfig:
@@ -41,6 +39,8 @@ class EncoderConfig:
     feature_dim: int = 12
     input_dim: int = 240
 
+
+_CONFIG_KEYS = tuple(f.name for f in fields(EncoderConfig))
 
 PRESETS = {
     "desk": EncoderConfig(lstm_layers=2, fc_layers=1, hidden=64),
@@ -134,7 +134,7 @@ def _dense(seq, leaves: dict, name: str):
 def _lstm_stack(seq, leaves: dict, prefix: str, layers: int):
     for i in range(layers):
         wx, wh, b = (leaves[f"{prefix}.lstm{i}.{k}"] for k in ("wx", "wh", "b"))
-        seq = ad.lstm(seq, wx, wh, b) if isinstance(seq, Tensor) else ad.lstm_forward(seq, wx, wh, b)[0][1:]
+        seq = ad.lstm(ad.dense(seq, wx, b), wh) if isinstance(seq, Tensor) else ad.lstm_forward(seq @ wx + b, wh)[0][1:]
     return seq
 
 
@@ -260,18 +260,21 @@ def load_checkpoint(path) -> ModelParams:
             raise VersionMismatch(f"{path}: format version {version}, expected {CHECKPOINT_VERSION}")
         (cfg_len,) = struct.unpack("<I", _read_exact(fh, 4, "config length"))
         cfg_text = _read_text(fh, cfg_len, "config block", path)
-        fields = {}
+        values = {}
         for line in cfg_text.splitlines():
             if line.strip():
                 k, _, v = line.partition("=")
+                k = k.strip()
+                if k in values or k not in _CONFIG_KEYS:
+                    raise CorruptFile(f"{path}: config key {k!r} is {'repeated' if k in values else 'unknown'}")
                 try:
-                    fields[k.strip()] = int(v)
+                    values[k] = int(v)
                 except ValueError as exc:
                     raise CorruptFile(f"{path}: config value {line.strip()!r} is not an integer") from exc
-        missing = [k for k in _CONFIG_KEYS if k not in fields]
+        missing = [k for k in _CONFIG_KEYS if k not in values]
         if missing:
             raise VersionMismatch(f"{path}: config block missing {missing}")
-        config = EncoderConfig(**{k: fields[k] for k in _CONFIG_KEYS})
+        config = EncoderConfig(**values)
 
         tensors = {}
         while True:

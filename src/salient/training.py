@@ -38,6 +38,7 @@ from .model import (
     decoder_graph,
     encoder_graph,
     init_params,
+    load_checkpoint,
     normalize,
     param_leaves,
     save_checkpoint,
@@ -250,8 +251,8 @@ def openblas_thread_functions():
 
 def train(manifest: Manifest, model_config: EncoderConfig, config: TrainConfig) -> TrainResult:
     """Run the loop, scoring the parameters every eval_every steps (and at
-    the final step) by the moving-average d_global; the returned parameters
-    are the scored ones with the smallest average, the earliest on a tie.
+    the final step) by the moving-average d_global, and return best.ckpt read
+    back: the scored parameters with the smallest average, earliest on a tie.
     Writes init/final checkpoints under config.checkpoint_dir, best.ckpt each
     time the best changes, and a CSV loss log with one flushed row per step.
     A worker thread builds step k+1's batch while step k runs, with one BLAS
@@ -274,7 +275,7 @@ def train(manifest: Manifest, model_config: EncoderConfig, config: TrainConfig) 
 
     optimizer = Adam(params.tensors, config.learning_rate)
     records: list = []
-    best_step, best_smoothed, best_params, skips = 0, np.inf, None, 0
+    best_step, best_smoothed, skips = 0, np.inf, 0
     best_path = ckpt_dir / "best.ckpt"
     log_path = ckpt_dir / "train_log.csv"
     few_params = sum(t.size for t in params.tensors.values()) < ONE_BLAS_THREAD_MAX_PARAMS
@@ -317,14 +318,12 @@ def train(manifest: Manifest, model_config: EncoderConfig, config: TrainConfig) 
                 smoothed = float(np.mean([w.d_global for w in window]))
                 if smoothed < best_smoothed:
                     best_step, best_smoothed = step, smoothed
-                    tensors = {k: v.copy() for k, v in params.tensors.items()}
-                    best_params = ModelParams(model_config, tensors, params.mean.copy(), params.std.copy())
-                    save_checkpoint(best_params, best_path)
+                    save_checkpoint(params, best_path)
 
     final_path = ckpt_dir / "final.ckpt"
     save_checkpoint(params, final_path)
     return TrainResult(
-        best_params=best_params,
+        best_params=load_checkpoint(best_path),
         best_step=best_step,
         best_smoothed=best_smoothed,
         records=records,

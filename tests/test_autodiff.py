@@ -39,8 +39,10 @@ def _unpack(v, *shapes):
 
 
 def _packed_lstm(v, steps, rows, inputs, hidden):
-    """ad.lstm with x (T, B, D), wx, wh and b all sliced from one vector."""
-    return ad.lstm(*_unpack(v, (steps, rows, inputs), (inputs, 4 * hidden), (hidden, 4 * hidden), (4 * hidden,)))
+    """An LSTM layer, ad.lstm over ad.dense, with x (T, B, D), wx, wh and b
+    all sliced from one vector."""
+    x, wx, wh, b = _unpack(v, (steps, rows, inputs), (inputs, 4 * hidden), (hidden, 4 * hidden), (4 * hidden,))
+    return ad.lstm(ad.dense(x, wx, b), wh)
 
 
 def _packed_imq_mmd(v, rows, dim):
@@ -85,8 +87,10 @@ class TestForwardValues:
             assert np.array_equal(out[:, 2 * q : 2 * q + 2], a[:, 2 * q : 2 * q + 2] - b)
 
     def test_lstm_matches_cell_equations(self):
-        # the fused op against the textbook cell, step by step from a zero
-        # state: same products in the same order, so equal bit for bit
+        # the projected sequence and the recurrence against the textbook
+        # cell, step by step from a zero state: same products in the same
+        # order (numpy runs the 3-D projection one time step at a time), so
+        # equal bit for bit
         from scipy.special import expit
 
         rng = np.random.default_rng(8)
@@ -94,7 +98,7 @@ class TestForwardValues:
         x, wx = rng.standard_normal((steps, rows, d)), rng.standard_normal((d, 4 * h))
         wh, b = rng.standard_normal((h, 4 * h)), rng.standard_normal(4 * h)
         tape = t64()
-        got = ad.lstm(tape.leaf(x), tape.leaf(wx), tape.leaf(wh), tape.leaf(b)).data
+        got = ad.lstm(ad.dense(tape.leaf(x), tape.leaf(wx), tape.leaf(b)), tape.leaf(wh)).data
         hid, cell = np.zeros((rows, h)), np.zeros((rows, h))
         for t in range(steps):
             pre = x[t] @ wx + b + hid @ wh
@@ -161,6 +165,28 @@ class TestBackwardValues:
         blocks = 2.0 * (a.data.reshape(2, 3, 2, 2) - b.data[:, None])
         assert np.allclose(grads.wrt(b), -blocks.sum(axis=1), rtol=1e-12, atol=0)
         assert grads.wrt(const) is None
+
+    def test_dense_records_no_gradient_for_a_constant_input(self):
+        rng = np.random.default_rng(13)
+        tape = t64()
+        x = tape.constant(rng.standard_normal((3, 2, 4)))
+        w, b = tape.leaf(rng.standard_normal((4, 5))), tape.leaf(rng.standard_normal(5))
+        grads = ad.backward(ad.dense(x, w, b).sqnorm())
+        assert grads.wrt(x) is None
+        assert grads.wrt(w) is not None and grads.wrt(b) is not None
+
+    def test_backward_keeps_only_leaf_gradients(self):
+        rng = np.random.default_rng(14)
+        tape = t64()
+        x, w, b = (tape.leaf(rng.standard_normal(shape)) for shape in ((3, 2, 4), (4, 5), (5,)))
+        y = ad.dense(x, w, b)
+        h = y.tanh()
+        loss = h.sqnorm()
+        grads = ad.backward(loss)
+        for inner in (y, h, loss):
+            assert grads.wrt(inner) is None
+        for leaf in (x, w, b):
+            assert grads.wrt(leaf).shape == leaf.shape
 
 
 class TestFiniteDifferenceOracles:
@@ -268,7 +294,7 @@ class TestContracts:
         with pytest.raises(ShapeMismatch):
             ad.dense(a, b, tape.leaf(np.ones(2)))
         with pytest.raises(ShapeMismatch):
-            ad.lstm(seq, b, tape.leaf(np.ones((3, 12))), tape.leaf(np.ones(12)))
+            ad.lstm(seq, tape.leaf(np.ones((3, 12))))
         with pytest.raises(DimMismatch):
             ad.imq_mmd(seq, np.ones((4, 2, 3)), 6.0)
         with pytest.raises(DimMismatch):

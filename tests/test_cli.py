@@ -354,7 +354,9 @@ class TestEvalCmd:
     def test_non_finite_snr_exits_one(self, cli_run, cli_corpus, tmp_path, capsys):
         with pytest.raises(SalientError, match="finite"):
             cli._parse_snr_list("0,nan")
-        for snrs, why in (("0,inf", "finite"), ("", "at least one"), ("5,5.0", "only once")):
+        # the last pair both read "5" at the report's 6 significant digits
+        for snrs, why in (("0,inf", "finite"), ("", "at least one"), ("5,5.0", "only once"),
+                          ("5.0000001,5.0000002", "only once")):
             assert run(["eval", "--checkpoint", str(cli_run / "best.ckpt"),
                         "--manifest", str(cli_corpus / "manifest.jsonl"),
                         "--snr-list", snrs, "--report", str(tmp_path / "r.json")]) == 1

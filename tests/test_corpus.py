@@ -248,6 +248,12 @@ class TestSynthCorpus:
             corpus.synth_corpus(tmp_path / "neg", abs(n), seed=abs(seed), snr_choices=())
         assert not (tmp_path / "neg").exists()
 
+    @pytest.mark.parametrize("snr", [float("nan"), float("inf")])
+    def test_non_finite_snr_choice_rejected_before_writing(self, tmp_path, snr):
+        with pytest.raises(InvalidRange, match="finite"):
+            corpus.synth_corpus(tmp_path / "c", 2, seed=1, snr_choices=[5.0, snr])
+        assert not (tmp_path / "c").exists()
+
     def test_regeneration_bit_identical(self, tmp_path):
         a = tmp_path / "a"
         b = tmp_path / "b"
@@ -306,6 +312,11 @@ class TestManifestIO:
             assert got.clean_path == orig.clean_path.resolve()
             assert got.noise_paths == tuple(p.resolve() for p in orig.noise_paths)
             assert got.snr_db == orig.snr_db
+
+    def test_seed_header_after_blank_lines(self, tmp_path):
+        mp = tmp_path / "m.jsonl"
+        mp.write_text('\n  \n{"seed": 7}\n')
+        assert corpus.load_manifest(mp).seed == 7
 
     def test_malformed_line_names_lineno(self, tmp_path):
         mp = tmp_path / "bad.jsonl"

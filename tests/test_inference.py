@@ -14,6 +14,7 @@ from salient.errors import (
     ConfigMismatch,
     CorruptFile,
     InvalidIterations,
+    InvalidRange,
     ManifestEmpty,
     NonFiniteValue,
     ShapeMismatch,
@@ -239,6 +240,11 @@ class TestEvaluate:
         p = tmp_path / "r.json"
         inference.save_report(report, p)
         assert inference.load_report(p) == report
+
+    @pytest.mark.parametrize("snrs", [[5.0000001, 5.0000002], [-0.0, 0.0]])
+    def test_snrs_sharing_a_report_key_rejected(self, desk_params, tiny_corpus, snrs):
+        with pytest.raises(InvalidRange, match="only once"):
+            inference.evaluate(desk_params, tiny_corpus, snrs)
 
     def test_empty_manifest(self, desk_params):
         with pytest.raises(ManifestEmpty):

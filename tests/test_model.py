@@ -375,6 +375,18 @@ class TestCheckpoint:
         with pytest.raises(CorruptFile):
             model.load_checkpoint(path)
 
+    @pytest.mark.parametrize("key,why", [("hidden", "repeated"), ("bogus", "unknown")])
+    def test_repeated_or_unknown_config_key_rejected(self, tiny_model_config, tmp_path, key, why):
+        path = tmp_path / "k.ckpt"
+        model.save_checkpoint(model.init_params(tiny_model_config, seed=23), path)
+        raw = path.read_bytes()
+        # append one line to the config block: its u32 length sits at offset 8
+        (n,) = struct.unpack("<I", raw[8:12])
+        line = f"{key}=8\n".encode()
+        path.write_bytes(raw[:8] + struct.pack("<I", n + len(line)) + raw[12 : 12 + n] + line + raw[12 + n :])
+        with pytest.raises(CorruptFile, match=f"'{key}' is {why}"):
+            model.load_checkpoint(path)
+
     @pytest.mark.parametrize("text", [b"hidden=", b"enc.head.b"])
     def test_non_utf8_text_rejected(self, tiny_model_config, tmp_path, text):
         path = tmp_path / "u.ckpt"
