@@ -7,7 +7,9 @@ same inputs yields bit-identical gradients.
 
 Training runs in float32; construct a Tape with dtype=np.float64 for
 verification work (finite-difference checks need the headroom). Non-finite
-values raise immediately.
+values raise immediately. A Tensor is a value that gets a gradient and a plain
+array is a constant: ops take constants as arrays, so the only leaves are the
+values differentiated against, and constants never enter the tape.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ from .errors import (
 
 
 class Tensor:
-    """Immutable handle to one tape entry. Do not mutate .data."""
+    """Immutable handle to one tape entry, a value that gets a gradient (a
+    constant is a plain array, never a Tensor). Do not mutate .data."""
 
     __slots__ = ("tape", "idx", "data")
 
@@ -48,23 +51,21 @@ class Tensor:
 
     # -- unary ops --------------------------------------------------------
     def tanh(self) -> "Tensor":
-        t = np.tanh(self.data)
-        idx = self.idx
+        t, idx = np.tanh(self.data), self.idx
 
         def bwd(g, acc):
             _acc(acc, idx, g * (1.0 - t * t))
 
-        return self.tape._record(t, "tanh", (idx,), bwd)
+        return self.tape._record(t, "tanh", bwd)
 
     def sqnorm(self) -> "Tensor":
         """Sum of squared entries, as a scalar."""
-        x = self.data
-        idx = self.idx
+        x, idx = self.data, self.idx
 
         def bwd(g, acc):
             _acc(acc, idx, (2.0 * g) * x)
 
-        return self.tape._record(np.sum(x * x), "sqnorm", (idx,), bwd)
+        return self.tape._record(np.sum(x * x), "sqnorm", bwd)
 
 
 class Tape:
@@ -72,32 +73,25 @@ class Tape:
 
     def __init__(self, dtype=np.float32):
         self.dtype = np.dtype(dtype)
-        self._ops: list[tuple[str, tuple[int, ...], Callable | None]] = []
-        self._needs: list[bool] = []
+        self._ops: list[Callable | None] = []  # an op's backward, or None for a leaf
 
     def __len__(self) -> int:
         return len(self._ops)
 
-    def leaf(self, data, requires_grad: bool = True) -> Tensor:
-        """Register an input. No copy is made when dtype already matches,
-        so parameter arrays are shared, not forked."""
+    def leaf(self, data) -> Tensor:
+        """Register a value to differentiate against. No copy is made when
+        dtype already matches, so parameter arrays are shared, not forked."""
         arr = np.asarray(data, dtype=self.dtype)
         if not np.all(np.isfinite(arr)):
             raise NonFiniteValue("non-finite leaf value")
-        self._ops.append(("leaf", (), None))
-        self._needs.append(bool(requires_grad))
+        self._ops.append(None)
         return Tensor(self, len(self._ops) - 1, arr)
 
-    def constant(self, data) -> Tensor:
-        return self.leaf(data, requires_grad=False)
-
-    def _record(self, data, name, inputs: tuple, bwd) -> Tensor:
+    def _record(self, data, name, bwd) -> Tensor:
         data = np.asarray(data, dtype=self.dtype)
         if not np.all(np.isfinite(data)):
             raise NonFiniteValue(f"non-finite value produced by op '{name}'")
-        needs = any(self._needs[i] for i in inputs)
-        self._ops.append((name, inputs, bwd if needs else None))
-        self._needs.append(needs)
+        self._ops.append(bwd)
         return Tensor(self, len(self._ops) - 1, data)
 
 
@@ -125,10 +119,18 @@ def _acc(acc: list, idx: int, val: np.ndarray) -> None:
 
 def _check_tape(*ts: Tensor) -> Tape:
     tape = ts[0].tape
-    for t in ts[1:]:
-        if t.tape is not tape:
-            raise DetachedGraph("operands recorded on different tapes")
+    if any(t.tape is not tape for t in ts[1:]):
+        raise DetachedGraph("operands recorded on different tapes")
     return tape
+
+
+def _operand(tape: Tape, v) -> tuple:
+    """(index, data) of a Tensor on `tape`, or (None, v in the tape dtype) for an array, a constant."""
+    if not isinstance(v, Tensor):
+        return None, np.asarray(v, dtype=tape.dtype)
+    if v.tape is not tape:
+        raise DetachedGraph("operands recorded on different tapes")
+    return v.idx, v.data
 
 
 def backward(loss: Tensor) -> Gradients:
@@ -139,13 +141,10 @@ def backward(loss: Tensor) -> Gradients:
     grads: list = [None] * len(tape._ops)
     grads[loss.idx] = np.ones((), dtype=tape.dtype)
     for idx in range(loss.idx, -1, -1):
-        g = grads[idx]
-        if g is None:
-            continue
-        name, _, bwd = tape._ops[idx]
-        if bwd is not None:
-            bwd(g, grads)
-        grads[idx] = g if name == "leaf" else None  # an op's gradient is spent once its backward ran
+        bwd = tape._ops[idx]
+        if bwd is not None and grads[idx] is not None:
+            bwd(grads[idx], grads)
+            grads[idx] = None  # an op's gradient is spent once its backward ran; a leaf's stays
     return Gradients(tape, grads)
 
 
@@ -163,51 +162,48 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         _acc(acc, ia, g)
         _acc(acc, ib, g)
 
-    return tape._record(a.data + b.data, "add", (ia, ib), bwd)
+    return tape._record(a.data + b.data, "add", bwd)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
+def sub(a: Tensor, b) -> Tensor:
     """a - b, where b's axis-1 length may divide a's: b is then subtracted
     from each of the Q = a.shape[1] // b.shape[1] consecutive (clone-major)
     blocks of a's axis 1; equal shapes are the case Q = 1. The backward sums
-    the blocks' gradients into b, and only when b needs one."""
-    tape = _check_tape(a, b)
-    sa, sb = a.shape, b.shape
+    the blocks' gradients into b when b is a Tensor; an array b is a constant."""
+    ib, db = _operand(a.tape, b)
+    sa, sb = a.shape, db.shape
     q = sa[1] // sb[1] if len(sa) == len(sb) >= 2 and sb[1] else 1
     if sa != (sb if q == 1 else sb[:1] + (q * sb[1],) + sb[2:]):
         raise ShapeMismatch(f"sub: {sa} vs {sb}")
-    ia, ib = a.idx, b.idx
-    need_b = tape._needs[ib]
-    blocks = sb[:1] + (q,) + sb[1:]
+    ia, blocks = a.idx, sb[:1] + (q,) + sb[1:]
 
     def bwd(g, acc):
         _acc(acc, ia, g)
-        if need_b:
+        if ib is not None:
             _acc(acc, ib, -g if q == 1 else -g.reshape(blocks).sum(axis=1))
 
-    out = a.data - b.data if q == 1 else (a.data.reshape(blocks) - b.data[:, None]).reshape(sa)
-    return tape._record(out, "sub", (ia, ib), bwd)
+    out = a.data - db if q == 1 else (a.data.reshape(blocks) - db[:, None]).reshape(sa)
+    return a.tape._record(out, "sub", bwd)
 
 
-def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+def dense(x, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b for x (M, K), or a time-major (T, M, K) that numpy runs as
     one product per slice, so each slice equals its own 2-D product; w is
-    (K, N) and b (N,). The backward skips x's gradient when x needs none."""
-    tape = _check_tape(x, w, b)
-    if x.data.ndim not in (2, 3) or w.data.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
-        raise ShapeMismatch(f"dense: {x.shape} @ {w.shape} + {b.shape}")
-    ix, iw, ib = x.idx, w.idx, b.idx
-    dx, dw = x.data, w.data
+    (K, N) and b (N,). An array x is a constant, so it gets no gradient."""
+    tape = _check_tape(w, b)
+    ix, dx = _operand(tape, x)
+    if dx.ndim not in (2, 3) or w.data.ndim != 2 or dx.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeMismatch(f"dense: {dx.shape} @ {w.shape} + {b.shape}")
+    iw, ib, dw = w.idx, b.idx, w.data
     lead = tuple(range(dx.ndim - 1))
-    need_dx = tape._needs[ix]
 
     def bwd(g, acc):
         _acc(acc, ib, g.sum(axis=lead))
-        if need_dx:
+        if ix is not None:
             _acc(acc, ix, g @ dw.T)
         _acc(acc, iw, dx.reshape(-1, dw.shape[0]).T @ g.reshape(-1, dw.shape[1]))
 
-    return tape._record(dx @ dw + b.data, "dense", (ix, iw, ib), bwd)
+    return tape._record(dx @ dw + b.data, "dense", bwd)
 
 
 def lstm_forward(xw: np.ndarray, wh: np.ndarray) -> tuple:
@@ -258,7 +254,7 @@ def lstm(xw: Tensor, wh: Tensor) -> Tensor:
         _acc(acc, ixw, d_pre)
         _acc(acc, iwh, hs[:-1].reshape(steps * rows, h).T @ d_pre.reshape(steps * rows, 4 * h))
 
-    return tape._record(hs[1:], "lstm", (ixw, iwh), bwd)
+    return tape._record(hs[1:], "lstm", bwd)
 
 
 def _imq_block(a: np.ndarray, b: np.ndarray, c: float) -> np.ndarray:
@@ -282,19 +278,18 @@ def imq_mmd(z: Tensor, y: np.ndarray, c: float) -> Tensor:
     n = z.shape[0]
     if n < 2:
         raise TooFewSamples(f"imq_mmd: need at least 2 samples, got {n}")
-    dz = z.data
+    dz, iz = z.data, z.idx
     kzz, kyy, kzy = _imq_block(dz, dz, c), _imq_block(y, y, c), _imq_block(dz, y, c)
     np.fill_diagonal(kzz, 0.0)
     np.fill_diagonal(kyy, 0.0)
     out = (np.sum(kzz) + np.sum(kyy)) / (n * (n - 1)) - 2.0 * np.sum(kzy) / (n * n)
-    iz = z.idx
 
     def bwd(g, acc):
         w = (-4.0 / (c * n * (n - 1))) * (kzz * kzz)
         v = (4.0 / (c * n * n)) * (kzy * kzy)
         _acc(acc, iz, g * ((w.sum(axis=1) + v.sum(axis=1))[:, None] * dz - w @ dz - v @ y))
 
-    return tape._record(out, "imq_mmd", (iz,), bwd)
+    return tape._record(out, "imq_mmd", bwd)
 
 
 def slice_(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
@@ -302,8 +297,7 @@ def slice_(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
         raise ShapeMismatch(f"slice: axis {axis} out of range for {x.shape}")
     if not (0 <= start < stop <= x.shape[axis]):
         raise ShapeMismatch(f"slice: [{start}:{stop}] out of range on axis {axis} of {x.shape}")
-    ix = x.idx
-    shp = x.shape
+    ix, shp = x.idx, x.shape
     sl = [slice(None)] * x.data.ndim
     sl[axis] = slice(start, stop)
     sl = tuple(sl)
@@ -313,29 +307,27 @@ def slice_(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
         full[sl] = g
         _acc(acc, ix, full)
 
-    return x.tape._record(np.ascontiguousarray(x.data[sl]), "slice", (ix,), bwd)
+    return x.tape._record(np.ascontiguousarray(x.data[sl]), "slice", bwd)
 
 
 def scale(x: Tensor, c: float) -> Tensor:
-    ix = x.idx
-    c = float(c)
+    ix, c = x.idx, float(c)
 
     def bwd(g, acc):
         _acc(acc, ix, c * g)
 
-    return x.tape._record(c * x.data, "scale", (ix,), bwd)
+    return x.tape._record(c * x.data, "scale", bwd)
 
 
 def reshape(x: Tensor, shape: tuple) -> Tensor:
     if int(np.prod(shape)) != x.size:
         raise ShapeMismatch(f"reshape: {x.shape} -> {shape}")
-    ix = x.idx
-    old = x.shape
+    ix, old = x.idx, x.shape
 
     def bwd(g, acc):
         _acc(acc, ix, g.reshape(old))
 
-    return x.tape._record(x.data.reshape(shape), "reshape", (ix,), bwd)
+    return x.tape._record(x.data.reshape(shape), "reshape", bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from .errors import (
     MissingFile,
     NoiseTooShort,
     ParseError,
+    ShapeMismatch,
     SilentSignal,
     UtteranceTooShort,
 )
@@ -85,8 +86,7 @@ def _noise_segment(noise: np.ndarray, length: int, rng: np.random.Generator) -> 
         off = int(rng.integers(0, n - length + 1))
         return noise[off : off + length]
     off = int(rng.integers(0, n))
-    reps = int(np.ceil((off + length) / n))
-    return np.tile(noise, reps)[off : off + length]
+    return noise.take(range(off, off + length), mode="wrap")
 
 
 def mix_at_snr(clean: np.ndarray, noise: np.ndarray, snr_db: float | list[float]) -> np.ndarray:
@@ -95,18 +95,22 @@ def mix_at_snr(clean: np.ndarray, noise: np.ndarray, snr_db: float | list[float]
     alpha = (RMS(clean) / RMS(noise)) * 10^(-snr_db / 20), which makes the
     measured 10*log10(sum(x^2) / sum((alpha*n)^2)) equal the request exactly
     up to float rounding. `noise` is already cut to the clean length; each of
-    its rows (broadcast against `clean`) mixes at its own snr_db. Float32 out.
+    its rows (broadcast against `clean`) mixes at its own snr_db, or all at a
+    scalar one. Float32 out.
     """
     x = np.asarray(clean, dtype=np.float64)
     seg = np.array(noise, dtype=np.float64)
     rx = np.sqrt(np.mean(x * x, axis=-1, keepdims=True))
     rn = np.sqrt(np.mean(seg * seg, axis=-1, keepdims=True))
+    # Python's pow, not np.power, whose vector kernels may round differently
+    gains = [10.0 ** (-float(s) / 20.0) for s in np.ravel(snr_db)]
+    if seg.shape[-1:] != x.shape[-1:] or len(gains) not in (1, rn.size):
+        raise ShapeMismatch(f"mix_at_snr: noise {seg.shape} for clean {x.shape} at SNRs {np.shape(snr_db)}")
     if not np.all(rx):
         raise SilentSignal("clean signal has zero RMS")
     if not np.all(rn):
         raise SilentSignal("noise segment has zero RMS")
-    # Python's pow, not np.power, whose vector kernels may round differently
-    seg *= (rx / rn) * np.reshape([10.0 ** (-float(s) / 20.0) for s in np.ravel(snr_db)], rn.shape)
+    seg *= (rx / rn) * np.reshape(gains * (rn.size // len(gains)), rn.shape)
     seg += x
     out = seg.astype(np.float32)
     if not np.all(np.isfinite(out)):
@@ -117,7 +121,10 @@ def mix_at_snr(clean: np.ndarray, noise: np.ndarray, snr_db: float | list[float]
 def measured_snr_db(mixture: np.ndarray, clean: np.ndarray) -> float:
     x = np.asarray(clean, dtype=np.float64)
     r = np.asarray(mixture, dtype=np.float64) - x
-    return 10.0 * math.log10(float(np.sum(x * x)) / float(np.sum(r * r)))
+    signal, residual = float(np.sum(x * x)), float(np.sum(r * r))
+    if not signal:
+        raise SilentSignal("clean signal has zero RMS")
+    return 10.0 * math.log10(signal / residual) if residual else math.inf  # inf: mixture == clean
 
 
 # ---------------------------------------------------------------------------

@@ -171,9 +171,9 @@ def equivalence_loss_graph(z: Tensor, items: int) -> Tensor:
 
 
 def decoder_loss_graph(dec: Tensor, targets: np.ndarray) -> Tensor:
-    """dec: time-major reconstructions (T, Q*m, N), clone-major; targets:
-    the clean frames (T, m, N), shared by every clone, as a constant."""
-    return ad.sub(dec, dec.tape.constant(targets)).sqnorm()
+    """dec: time-major reconstructions (T, Q*m, N), clone-major; targets: the
+    clean frames (T, m, N), shared by every clone, a constant array off the tape."""
+    return ad.sub(dec, targets).sqnorm()
 
 
 def mmd_sq_graph(z: Tensor, y: np.ndarray, weights: LossWeights) -> Tensor:

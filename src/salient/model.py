@@ -123,18 +123,18 @@ def denormalize(params: ModelParams, frames: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# layer stacks: on tape Tensors for training, on plain arrays for inference
+# layer stacks: on parameter leaves for training, on plain arrays for inference
 # ---------------------------------------------------------------------------
 
 def _dense(seq, leaves: dict, name: str):
     w, b = leaves[f"{name}.w"], leaves[f"{name}.b"]
-    return ad.dense(seq, w, b) if isinstance(seq, Tensor) else seq @ w + b
+    return ad.dense(seq, w, b) if isinstance(w, Tensor) else seq @ w + b
 
 
 def _lstm_stack(seq, leaves: dict, prefix: str, layers: int):
     for i in range(layers):
         wx, wh, b = (leaves[f"{prefix}.lstm{i}.{k}"] for k in ("wx", "wh", "b"))
-        seq = ad.lstm(ad.dense(seq, wx, b), wh) if isinstance(seq, Tensor) else ad.lstm_forward(seq @ wx + b, wh)[0][1:]
+        seq = ad.lstm(ad.dense(seq, wx, b), wh) if isinstance(wx, Tensor) else ad.lstm_forward(seq @ wx + b, wh)[0][1:]
     return seq
 
 

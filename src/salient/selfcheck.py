@@ -49,7 +49,7 @@ def flat_composite_loss(config, inputs, targets, prior, weights):
             k: ad.reshape(ad.slice_(flat, 0, int(offsets[i]), int(offsets[i + 1])), shapes[k])
             for i, k in enumerate(names)
         }
-        return training.step_objective(tape, leaves, config, inputs, targets, prior, weights)[-1]
+        return training.step_objective(leaves, config, inputs, targets, prior, weights)[-1]
 
     return f
 

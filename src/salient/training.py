@@ -134,8 +134,8 @@ class Adam:
 # one training step
 # ---------------------------------------------------------------------------
 
-def step_objective(tape: Tape, leaves: dict, config: EncoderConfig, inputs: np.ndarray, targets: np.ndarray, prior: np.ndarray, weights: LossWeights) -> tuple:
-    """The training objective on `tape` for parameter leaves `leaves`.
+def step_objective(leaves: dict, config: EncoderConfig, inputs: np.ndarray, targets: np.ndarray, prior: np.ndarray, weights: LossWeights) -> tuple:
+    """The training objective on the tape of the parameter leaves `leaves`.
 
     inputs: normalized clone frames (m, Q, T, N); targets: normalized clean
     frames (m, T, N); prior: Laplacian draws (m*T, L). Returns the tensors
@@ -148,7 +148,7 @@ def step_objective(tape: Tape, leaves: dict, config: EncoderConfig, inputs: np.n
     Sequences are time-major, (T, rows, ·), with rows laid out clone-major:
     clone q of all m items occupies rows [q*m, (q+1)*m)."""
     m, q_clones, t_frames, n_bins = inputs.shape
-    x = tape.constant(inputs.transpose(2, 1, 0, 3).reshape(t_frames, q_clones * m, n_bins))
+    x = inputs.transpose(2, 1, 0, 3).reshape(t_frames, q_clones * m, n_bins)
 
     z = encoder_graph(leaves, config, x)
     d_e_sum = losses_mod.equivalence_loss_graph(z, m)
@@ -172,7 +172,7 @@ def build_step_graph(tape: Tape, params: ModelParams, batch: CloneBatch, prior: 
     stored statistics and build `step_objective` over the parameter leaves.
     Returns (leaves, (d_e, d_mmd, d_d, d_global))."""
     leaves = param_leaves(tape, params)
-    terms = step_objective(tape, leaves, params.config, normalize(params, batch.clone_inputs),
+    terms = step_objective(leaves, params.config, normalize(params, batch.clone_inputs),
                            normalize(params, batch.clean_targets), prior, weights)
     return leaves, terms
 

@@ -131,7 +131,7 @@ class TestBackwardValues:
         tape = t64()
         x = tape.leaf(point)
         f = x.tanh().sqnorm()
-        g = ad.dense(x, ad.reshape(x, (3, 4)), tape.constant(np.ones(4))).sqnorm()
+        g = ad.dense(x, ad.reshape(x, (3, 4)), tape.leaf(np.ones(4))).sqnorm()
         combined = ad.backward(ad.add(ad.scale(f, 2.0), ad.scale(g, -0.5))).wrt(x)
 
         tape2 = t64()
@@ -139,7 +139,7 @@ class TestBackwardValues:
         gf = ad.backward(x2.tanh().sqnorm()).wrt(x2)
         tape3 = t64()
         x3 = tape3.leaf(point)
-        gg = ad.backward(ad.dense(x3, ad.reshape(x3, (3, 4)), tape3.constant(np.ones(4))).sqnorm()).wrt(x3)
+        gg = ad.backward(ad.dense(x3, ad.reshape(x3, (3, 4)), tape3.leaf(np.ones(4))).sqnorm()).wrt(x3)
         assert np.array_equal(combined, 2.0 * gf + (-0.5) * gg)
 
     def test_deterministic_gradients(self):
@@ -160,20 +160,24 @@ class TestBackwardValues:
         tape = t64()
         a = tape.leaf(rng.standard_normal((2, 6, 2)))
         b = tape.leaf(rng.standard_normal((2, 2, 2)))
-        const = tape.constant(rng.standard_normal((2, 3, 2)))
+        const = rng.standard_normal((2, 3, 2))
         grads = ad.backward(ad.add(ad.sub(a, b).sqnorm(), ad.sub(a, const).sqnorm()))
         blocks = 2.0 * (a.data.reshape(2, 3, 2, 2) - b.data[:, None])
         assert np.allclose(grads.wrt(b), -blocks.sum(axis=1), rtol=1e-12, atol=0)
-        assert grads.wrt(const) is None
+        const_blocks = 2.0 * (a.data.reshape(2, 2, 3, 2) - const[:, None])
+        assert np.allclose(grads.wrt(a), blocks.reshape(2, 6, 2) + const_blocks.reshape(2, 6, 2), rtol=1e-12, atol=0)
+        assert len(tape) == 7  # two leaves and five ops: the array const adds no entry
 
     def test_dense_records_no_gradient_for_a_constant_input(self):
         rng = np.random.default_rng(13)
         tape = t64()
-        x = tape.constant(rng.standard_normal((3, 2, 4)))
+        x = rng.standard_normal((3, 2, 4))
         w, b = tape.leaf(rng.standard_normal((4, 5))), tape.leaf(rng.standard_normal(5))
         grads = ad.backward(ad.dense(x, w, b).sqnorm())
-        assert grads.wrt(x) is None
-        assert grads.wrt(w) is not None and grads.wrt(b) is not None
+        assert len(tape) == 4  # w, b, the dense op and sqnorm: the array x adds no entry
+        g = 2.0 * (x @ w.data + b.data)
+        assert np.allclose(grads.wrt(w), x.reshape(6, 4).T @ g.reshape(6, 5), rtol=1e-12, atol=0)
+        assert np.allclose(grads.wrt(b), g.sum(axis=(0, 1)), rtol=1e-12, atol=0)
 
     def test_backward_keeps_only_leaf_gradients(self):
         rng = np.random.default_rng(14)
@@ -201,7 +205,7 @@ class TestFiniteDifferenceOracles:
 
         def f(tape, x):
             row = ad.reshape(x.tanh(), (1, 9))
-            return ad.reshape(ad.dense(row, tape.constant(ones), tape.constant(np.zeros(1))), ())
+            return ad.reshape(ad.dense(row, tape.leaf(ones), tape.leaf(np.zeros(1))), ())
 
         err = ad.grad_check(f, rng.standard_normal(9), h=1e-5)
         assert err <= 1e-6
@@ -213,8 +217,8 @@ class TestFiniteDifferenceOracles:
         b2 = rng.standard_normal(4)
 
         def f(tape, x):
-            h1 = ad.dense(x, tape.constant(w1), tape.constant(np.zeros(5))).tanh()
-            h2 = ad.dense(h1, tape.constant(w2), tape.constant(b2)).tanh()
+            h1 = ad.dense(x, tape.leaf(w1), tape.leaf(np.zeros(5))).tanh()
+            h2 = ad.dense(h1, tape.leaf(w2), tape.leaf(b2)).tanh()
             h3 = ad.sub(h2, ad.slice_(h1, 1, 0, 2))
             return ad.add(h3.sqnorm(), ad.scale(h1.sqnorm(), 1.0 / h1.size))
 
@@ -229,17 +233,17 @@ class TestFiniteDifferenceOracles:
             ("add", lambda tape, x: ad.add(x, x).sqnorm(), (3, 2)),
             ("sub", lambda tape, x: ad.sub(x.tanh(), x).sqnorm(), (3, 2)),
             ("imq_mmd", lambda tape, x: _packed_imq_mmd(x, rows=6, dim=3), (36,)),
-            ("matmul", lambda tape, x: ad.dense(x, ad.reshape(x, (4, 3)), tape.constant(np.zeros(3))).sqnorm(), (3, 4)),
+            ("matmul", lambda tape, x: ad.dense(x, ad.reshape(x, (4, 3)), tape.leaf(np.zeros(3))).sqnorm(), (3, 4)),
             ("sub_shared", lambda tape, x: ad.sub(*_unpack(x, (2, 6, 2), (2, 2, 2))).tanh().sqnorm(), (32,)),
             ("dense3d", lambda tape, x: _packed_dense(x, (2, 3), inputs=4, outputs=2), (34,)),
-            ("sub_shared_const", lambda tape, x: ad.sub(x.tanh(), tape.constant(_REF_3D)).sqnorm(), (2, 6, 2)),
+            ("sub_shared_const", lambda tape, x: ad.sub(x.tanh(), _REF_3D).sqnorm(), (2, 6, 2)),
             ("slice", lambda tape, x: ad.slice_(x, 1, 1, 3).sqnorm(), (2, 4)),
             ("scale", lambda tape, x: ad.scale(x, 2.5).sqnorm(), (5,)),
             ("imq_mmd_pair", lambda tape, x: _packed_imq_mmd(x, rows=2, dim=4), (16,)),
             ("reshape", lambda tape, x: ad.reshape(x, (3, 2)).tanh().sqnorm(), (6,)),
             ("slice3d", lambda tape, x: ad.slice_(x, 1, 1, 3).tanh().sqnorm(), (2, 4, 3)),
             ("lstm", lambda tape, x: _packed_lstm(x, steps=3, rows=2, inputs=3, hidden=2).sqnorm(), (66,)),
-            ("dense3d_const", lambda tape, x: ad.dense(x, tape.constant(_W_3D), tape.constant(_B_3D)).tanh().sqnorm(), (3, 2, 4)),
+            ("dense3d_const", lambda tape, x: ad.dense(x, tape.leaf(_W_3D), tape.leaf(_B_3D)).tanh().sqnorm(), (3, 2, 4)),
         ],
     )
     def test_every_op_backward(self, name, f, shape):
@@ -340,7 +344,7 @@ class TestContracts:
             tape.leaf(np.array([np.inf]))
         x = tape.leaf(np.full((1, 1), 1e200))
         with np.errstate(over="ignore"), pytest.raises(NonFiniteValue):
-            ad.dense(x, x, tape.constant(np.zeros(1)))
+            ad.dense(x, x, tape.leaf(np.zeros(1)))
 
     def test_leaf_shares_memory_on_matching_dtype(self):
         arr = np.ones((3, 3), dtype=np.float32)

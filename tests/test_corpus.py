@@ -2,6 +2,7 @@
 and manifest round trips."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from salient.errors import (
     MissingFile,
     NoiseTooShort,
     ParseError,
+    ShapeMismatch,
     SilentSignal,
     UtteranceTooShort,
 )
@@ -115,6 +117,42 @@ class TestMixAtSnr:
             corpus.mix_at_snr(clean, silent, np.zeros(3))
         with pytest.raises(CorruptFile):
             corpus.mix_at_snr(clean, bad, np.zeros(3))
+
+    def test_a_scalar_snr_applies_to_every_row(self):
+        rng = named_stream(9, "t")
+        clean = rng.uniform(-0.5, 0.5, 1000).astype(np.float32)
+        noise = rng.uniform(-0.5, 0.5, (3, 1000)).astype(np.float32)
+        rows = corpus.mix_at_snr(clean, noise, 5.0)
+        assert np.array_equal(rows, corpus.mix_at_snr(clean, noise, [5.0] * 3))
+        for row in rows:
+            assert corpus.measured_snr_db(row, clean) == pytest.approx(5.0, abs=1e-6)
+
+    @pytest.mark.parametrize("noise_shape,snr_db,named", [
+        ((3, 1000), [0.0, 5.0], ("(2,)", "(3, 1000)")),
+        ((3, 1000), [0.0] * 4, ("(4,)", "(3, 1000)")),
+        ((3, 999), [0.0] * 3, ("(3, 999)", "(1000,)")),
+        ((999,), 5.0, ("(999,)", "(1000,)")),
+    ])
+    def test_shape_mismatch_names_both_shapes(self, noise_shape, snr_db, named):
+        rng = named_stream(10, "t")
+        clean = rng.uniform(-0.5, 0.5, 1000).astype(np.float32)
+        noise = rng.uniform(-0.5, 0.5, noise_shape).astype(np.float32)
+        with pytest.raises(ShapeMismatch) as err:
+            corpus.mix_at_snr(clean, noise, snr_db)
+        assert all(shape in str(err.value) for shape in named)
+
+
+class TestMeasuredSnr:
+    def test_a_mixture_equal_to_its_clean_signal_is_infinite(self):
+        clean = const_rms_signal(0.1, 1000)
+        assert corpus.measured_snr_db(clean.copy(), clean) == math.inf
+
+    def test_a_silent_clean_signal_is_rejected(self):
+        silent = np.zeros(1000, dtype=np.float32)
+        with pytest.raises(SilentSignal):
+            corpus.measured_snr_db(const_rms_signal(0.1, 1000), silent)
+        with pytest.raises(SilentSignal):
+            corpus.measured_snr_db(silent, silent)
 
 
 class TestCloneBatch:

@@ -177,7 +177,7 @@ class TestGraphBuildersMatchNumpy:
         m, q, t, l = 3, 4, 2, 5
         features = rng.standard_normal((m, q, t, l))
         tape = ad.Tape(np.float64)
-        z = tape.constant(features.transpose(2, 1, 0, 3).reshape(t, q * m, l))
+        z = tape.leaf(features.transpose(2, 1, 0, 3).reshape(t, q * m, l))
         got = float(losses.equivalence_loss_graph(z, m).data)
         assert got == pytest.approx(losses.equivalence_loss(features), rel=1e-12)
 
@@ -187,7 +187,7 @@ class TestGraphBuildersMatchNumpy:
         decoded = rng.standard_normal((m, q, t, n))
         targets = rng.standard_normal((m, t, n))
         tape = ad.Tape(np.float64)
-        dec = tape.constant(decoded.transpose(2, 1, 0, 3).reshape(t, q * m, n))
+        dec = tape.leaf(decoded.transpose(2, 1, 0, 3).reshape(t, q * m, n))
         got = float(losses.decoder_loss_graph(dec, targets.transpose(1, 0, 2)).data)
         assert got == pytest.approx(losses.decoder_loss(decoded, targets), rel=1e-12)
 

@@ -68,8 +68,8 @@ class TestForward:
         rng = named_stream(5, "m")
         frame = rng.standard_normal((1, tiny_model_config.input_dim)).astype(np.float32)
         tape = ad.Tape(np.float32)
-        leaves = {k: tape.constant(v) for k, v in p.tensors.items()}
-        x = tape.constant(np.repeat(frame, 5, axis=0)[None])
+        leaves = model.param_leaves(tape, p)
+        x = np.repeat(frame, 5, axis=0)[None]
         z = model.encoder_graph(leaves, tiny_model_config, x).data[0]
         assert all(np.array_equal(z[0], z[i]) for i in range(1, 5))
 
@@ -112,8 +112,8 @@ class TestTapeFree:
     def _on_tape(self, p, builder, rows):
         """The builder on a float32 tape for (B, T, D) rows, batch-major out."""
         tape = ad.Tape(np.float32)
-        leaves = {k: tape.constant(v) for k, v in p.tensors.items()}
-        x = tape.constant(np.ascontiguousarray(rows.swapaxes(0, 1)))
+        leaves = model.param_leaves(tape, p)
+        x = np.ascontiguousarray(rows.swapaxes(0, 1))
         return builder(leaves, p.config, x).data.swapaxes(0, 1)
 
     @pytest.mark.parametrize("rows", [1, 5])
@@ -133,8 +133,8 @@ class TestTapeFree:
         p = self._params(model.PRESETS["desk"], seed=32)
         frames = np.asfortranarray(named_stream(32, "tf").standard_normal((30, 240)), np.float32)
         tape = ad.Tape(np.float32)
-        leaves = {k: tape.constant(v) for k, v in p.tensors.items()}
-        want = model.encoder_graph(leaves, p.config, tape.constant(frames[:, None, :])).data[:, 0, :]
+        leaves = model.param_leaves(tape, p)
+        want = model.encoder_graph(leaves, p.config, frames[:, None, :]).data[:, 0, :]
         assert np.array_equal(model.encode_sequence(p, frames), want)
 
     def test_batch_matches_one_track_calls(self, tiny_model_config):

@@ -131,3 +131,10 @@ def test_inference_builds_no_tape():
     run_sequence = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "_run_sequence")
     assert calls_of(run_sequence, "Tape") == []
     assert calls_of(ast.parse((SRC / "inference.py").read_text()), "Tape") == []
+
+
+def test_only_parameters_become_leaves():
+    # constants enter ops as arrays, so the tape's leaves are the values
+    # differentiated against: the model's parameters, or the point of a
+    # finite-difference check
+    assert functions_calling("leaf") == {"model.param_leaves", "autodiff._ad_gradient", "autodiff.eval_at"}

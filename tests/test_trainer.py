@@ -104,14 +104,18 @@ class TestTrainStep:
         finally:
             gc.enable()
 
-    def test_step_tape_records_only_gradient_ops(self, tiny_model_config):
-        # the prior's kernel block is computed in numpy and enters as a
-        # constant, so every recorded op has a backward
-        params = model.init_params(tiny_model_config, seed=4)
+    def test_step_tape_holds_one_leaf_per_parameter(self):
+        # the clone inputs, clean targets and prior draws enter as arrays:
+        # the leaves are the parameters, and every other entry has a backward
+        cfg = model.PRESETS["desk"]
+        params = model.init_params(cfg, seed=4)
         tape = Tape(np.float32)
-        prior = np.zeros((12, tiny_model_config.feature_dim))
-        training.build_step_graph(tape, params, synthetic_batch(tiny_model_config), prior, LossWeights())
-        assert [name for name, _, bwd in tape._ops if name != "leaf" and bwd is None] == []
+        prior = np.zeros((2 * CLONE_FRAMES, cfg.feature_dim))
+        batch = synthetic_batch(cfg, m=2, q=3, t=CLONE_FRAMES)
+        leaves, _ = training.build_step_graph(tape, params, batch, prior, LossWeights())
+        assert sorted(i for i, bwd in enumerate(tape._ops) if bwd is None) == sorted(t.idx for t in leaves.values())
+        assert len(leaves) == len(params.tensors) == 20
+        assert len(tape) == 49
 
     def test_accounting_identity(self, tiny_model_config):
         params = model.init_params(tiny_model_config, seed=5)
