@@ -329,6 +329,11 @@ class TestContracts:
         b = t64().leaf(np.ones(2))
         with pytest.raises(DetachedGraph):
             ad.add(a, b)
+        with pytest.raises(DetachedGraph):
+            ad.sub(a, b)
+        w = t64().leaf(np.ones((2, 2)))
+        with pytest.raises(DetachedGraph):
+            ad.dense(ad.reshape(a, (1, 2)), w, w.tape.leaf(np.ones(2)))
 
     def test_gradients_wrt_other_tape_detached(self):
         tape = t64()
