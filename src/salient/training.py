@@ -82,6 +82,7 @@ class TrainLogRecord:
     d_d: float
     d_global: float
     wall_ms: float
+    batch_wait_ms: float  # of wall_ms, the wait for this step's batches
 
 
 @dataclass
@@ -289,8 +290,11 @@ def train(manifest: Manifest, model_config: EncoderConfig, config: TrainConfig) 
         next_batch = None  # the worker's (step, attempt 0) draw
         for step in range(1, config.steps + 1):
             t0 = time.perf_counter()
+            wait = 0.0
             for attempt in range(3):
+                t_wait = time.perf_counter()
                 batch, prior = next_batch.result() if next_batch and not attempt else draw(step, attempt)
+                wait += time.perf_counter() - t_wait
                 if not attempt:
                     next_batch = worker.submit(draw, step + 1, 0) if step < config.steps else None
                 try:
@@ -309,6 +313,7 @@ def train(manifest: Manifest, model_config: EncoderConfig, config: TrainConfig) 
                 d_d=breakdown.d_d,
                 d_global=breakdown.d_global,
                 wall_ms=(time.perf_counter() - t0) * 1e3,
+                batch_wait_ms=wait * 1e3,
             )
             records.append(r)
             log_file.write(",".join(map(repr, astuple(r))) + "\n")

@@ -180,7 +180,8 @@ class TestDspExactness:
         rng = named_stream(0, "acc/dsp")
         clean = rng.uniform(-0.6, 0.6, 16000).astype(np.float32)
         noise = rng.uniform(-0.6, 0.6, 48000).astype(np.float32)
-        mix = corpus.mix_at_snr(clean, corpus._noise_segment(noise, len(clean), rng), 12.5)
+        off = corpus._cut_offset(len(noise), len(clean), rng)
+        mix = corpus.mix_at_snr(clean, noise[off : off + len(clean)], 12.5)
         snr_err = abs(corpus.measured_snr_db(mix, clean) - 12.5)
 
         n_frames = audio.frame_matrix(audio.AudioBuffer(np.zeros(16000, dtype=np.float32))).shape[0]

@@ -88,10 +88,11 @@ class TestForwardValues:
 
     def test_lstm_matches_cell_equations(self):
         # the projected sequence and the recurrence against the textbook
-        # cell, step by step from a zero state: same products in the same
-        # order (numpy runs the 3-D projection one time step at a time), so
-        # equal bit for bit
-        from scipy.special import expit
+        # cell, step by step from a zero state, with the sigmoid written in
+        # its tanh form: same products in the same order (numpy runs the 3-D
+        # projection one time step at a time), so equal bit for bit
+        def sigmoid(v):
+            return np.tanh(v * 0.5) * 0.5 + 0.5
 
         rng = np.random.default_rng(8)
         steps, rows, d, h = 4, 3, 5, 2
@@ -102,10 +103,24 @@ class TestForwardValues:
         hid, cell = np.zeros((rows, h)), np.zeros((rows, h))
         for t in range(steps):
             pre = x[t] @ wx + b + hid @ wh
-            i, f, o = expit(pre[:, :h]), expit(pre[:, h : 2 * h]), expit(pre[:, 3 * h :])
+            i, f, o = sigmoid(pre[:, :h]), sigmoid(pre[:, h : 2 * h]), sigmoid(pre[:, 3 * h :])
             cell = f * cell + i * np.tanh(pre[:, 2 * h : 3 * h])
             hid = o * np.tanh(cell)
             assert np.array_equal(got[t], hid)
+
+    def test_float32_gates_match_the_exp_sigmoid(self):
+        # one step from a zero state with H = 1: each row's gates are those
+        # of its own pre-activation, the same value in all four gates
+        from scipy.special import expit
+
+        x = np.append(np.linspace(-40.0, 40.0, 80001, dtype=np.float32), np.float32(0.0))
+        xw = np.repeat(x[None, :, None], 4, axis=2)
+        _, _, gates, _ = ad.lstm_forward(xw, np.zeros((1, 4), dtype=np.float32))
+        assert gates.dtype == np.float32 and gates.shape == (1, 4, x.size, 1)
+        for k in (0, 1, 3):
+            assert np.max(np.abs(gates[0, k, :, 0] - expit(x))) <= 1.2e-7
+            assert gates[0, k, -1, 0] == 0.5
+        assert np.array_equal(gates[0, 2, :, 0], np.tanh(x))
 
 
 class TestBackwardValues:

@@ -225,34 +225,68 @@ class TestCloneBatch:
                 ncc = np.dot(ra, rb) / (np.linalg.norm(ra) * np.linalg.norm(rb))
                 assert abs(ncc) < 0.2
 
-    def test_batch_equals_per_clone_one_row_mixing(self, tiny_corpus):
-        # every entry mixes two noise sources; the reference draws and mixes
-        # one clone at a time in the old order: its SNR jitter, its noise
-        # segments (a one-clone mix_clones), then the old second cut of the summed noise
+    @pytest.mark.parametrize("clones", [1, 3, 8])
+    @pytest.mark.parametrize("batch_size", [1, 3, 5, 17])
+    def test_batch_equals_per_clone_one_row_mixing(self, tiny_corpus, batch_size, clones):
+        # even entries mix two noise sources, odd ones one; the reference
+        # draws and mixes one clone at a time in the old order: its SNR
+        # jitter, its noise segments (a one-clone mix_clones), then the old
+        # second cut of the summed noise. Batch sizes that are no multiple of
+        # the framing chunk check its last, shorter chunk.
         noises = sorted({p for e in tiny_corpus.entries for p in e.noise_paths})
         manifest = corpus.Manifest(
             tuple(
-                corpus.CloneSpec(e.utterance_id, e.clean_path, (e.noise_paths[0], noises[i % len(noises)]), e.snr_db)
+                corpus.CloneSpec(e.utterance_id, e.clean_path,
+                                 e.noise_paths + ((noises[i % len(noises)],) if i % 2 == 0 else ()), e.snr_db)
                 for i, e in enumerate(tiny_corpus.entries)
             ),
             tiny_corpus.seed,
         )
-        batch = corpus.build_clone_batch(manifest, 4, 3, named_stream(13, "b"))
-        for i, seed in enumerate(child_seeds(named_stream(13, "b"), 4)):
+        batch = corpus.build_clone_batch(manifest, batch_size, clones, named_stream(13, "b"))
+        assert batch.clone_inputs.shape == (batch_size, clones, corpus.CLONE_FRAMES, audio.FRAME_BINS)
+        sources = set()
+        for i, seed in enumerate(child_seeds(named_stream(13, "b"), batch_size)):
             item_rng = np.random.default_rng(int(seed))
             entry = manifest.entries[int(item_rng.integers(0, len(manifest.entries)))]
             clean = audio.load_wav(entry.clean_path).samples
             n_starts = (len(clean) - corpus.SEGMENT_SAMPLES) // audio.HOP_SAMPLES + 1
             start = audio.HOP_SAMPLES * int(item_rng.integers(0, n_starts))
             seg = clean[start : start + corpus.SEGMENT_SAMPLES]
-            clones = []
-            for _ in range(3):
+            mixes = []
+            for _ in range(clones):
                 snr = entry.snr_db + float(item_rng.uniform(0.0, corpus.DEFAULT_SNR_JITTER_DB))
-                clones.append(corpus.mix_clones(seg, entry, 1, item_rng, snr_db=snr)[0])
+                mixes.append(corpus.mix_clones(seg, entry, 1, item_rng, snr_db=snr)[0])
                 assert item_rng.integers(0, 1) == 0
             assert batch.meta[i] == (entry.utterance_id, start)
             assert np.array_equal(batch.clean_targets[i], audio.frame_matrix(seg))
-            assert np.array_equal(batch.clone_inputs[i], audio.frame_matrix(np.stack(clones)))
+            assert np.array_equal(batch.clone_inputs[i], audio.frame_matrix(np.stack(mixes)))
+            sources.add(len(entry.noise_paths))
+        assert sources == {1, 2} or batch_size < 17
+
+    def test_a_noise_file_too_short_for_a_segment_is_rejected(self, tmp_path):
+        rng = named_stream(14, "gen")
+        clean_p, noise_p = tmp_path / "clean.wav", tmp_path / "noise.wav"
+        audio.save_wav(AudioBuffer(rng.uniform(-0.5, 0.5, 16000).astype(np.float32)), clean_p)
+        audio.save_wav(AudioBuffer(rng.uniform(-0.5, 0.5, 2000).astype(np.float32)), noise_p)
+        manifest = corpus.Manifest((corpus.CloneSpec("u", clean_p, (noise_p,), 5.0),), 0)
+        with pytest.raises(NoiseTooShort):
+            corpus.build_clone_batch(manifest, 2, 3, named_stream(15, "b"))
+
+    @pytest.mark.parametrize(
+        "named, value",
+        [("clones", 0), ("clones", -1), ("batch_size", -1),
+         ("snr_jitter_db", -1.0), ("snr_jitter_db", math.nan), ("snr_jitter_db", math.inf)],
+    )
+    def test_bad_sizes_are_rejected_by_name(self, tiny_corpus, named, value):
+        args = {"batch_size": 2, "clones": 3, "snr_jitter_db": 15.0, named: value}
+        with pytest.raises(InvalidRange, match=named):
+            corpus.build_clone_batch(tiny_corpus, args["batch_size"], args["clones"], named_stream(16, "b"),
+                                     args["snr_jitter_db"])
+        if named != "batch_size":
+            entry = tiny_corpus.entries[0]
+            seg = audio.load_wav(entry.clean_path).samples[: corpus.SEGMENT_SAMPLES]
+            with pytest.raises(InvalidRange, match=named):
+                corpus.mix_clones(seg, entry, args["clones"], named_stream(16, "m"), snr_jitter_db=args["snr_jitter_db"])
 
     def test_empty_manifest(self):
         with pytest.raises(ManifestEmpty):

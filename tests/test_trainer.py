@@ -3,7 +3,9 @@ oracles, determinism, logging, best-checkpoint selection, the batch worker
 and the BLAS thread budget."""
 
 import contextlib
+import csv
 import gc
+import math
 import threading
 import weakref
 
@@ -192,8 +194,17 @@ class TestTrainLoop:
         assert len(result.records) == 6
         assert [r.step for r in result.records] == list(range(1, 7))
         text = result.log_path.read_text().splitlines()
-        assert text[0] == "step,d_e,d_mmd,d_d,d_global,wall_ms"
+        assert text[0] == "step,d_e,d_mmd,d_d,d_global,wall_ms,batch_wait_ms"
         assert len(text) == 7
+
+    def test_batch_wait_is_a_finite_part_of_the_step(self, tiny_corpus, quick_cfg):
+        cfg = model.EncoderConfig(lstm_layers=1, fc_layers=1, hidden=8, feature_dim=3, input_dim=240)
+        result = training.train(tiny_corpus, cfg, quick_cfg())
+        rows = list(csv.DictReader(result.log_path.read_text().splitlines()))
+        assert len(rows) == len(result.records) == 6
+        for row, r in zip(rows, result.records):
+            assert float(row["batch_wait_ms"]) == r.batch_wait_ms
+            assert 0.0 <= r.batch_wait_ms <= r.wall_ms < math.inf
 
     def test_log_streams_rows_until_a_crash(self, tiny_corpus, quick_cfg, monkeypatch):
         cfg = model.EncoderConfig(lstm_layers=1, fc_layers=1, hidden=8, feature_dim=3, input_dim=240)
@@ -211,7 +222,7 @@ class TestTrainLoop:
         with pytest.raises(NonFiniteLoss):
             training.train(tiny_corpus, cfg, tc)
         lines = (tc.checkpoint_dir / "train_log.csv").read_text().splitlines()
-        assert lines[0] == "step,d_e,d_mmd,d_d,d_global,wall_ms"
+        assert lines[0] == "step,d_e,d_mmd,d_d,d_global,wall_ms,batch_wait_ms"
         assert [line.split(",")[0] for line in lines[1:]] == ["1", "2"]
 
     def test_crash_after_a_scored_step_keeps_its_best_checkpoint(self, tiny_corpus, quick_cfg, monkeypatch):
@@ -296,7 +307,7 @@ class TestTrainLoop:
 
     def test_smoothed_best_selection(self):
         records = [
-            training.TrainLogRecord(step=s, d_e=0.0, d_mmd=0.0, d_d=0.0, d_global=g, wall_ms=1.0)
+            training.TrainLogRecord(step=s, d_e=0.0, d_mmd=0.0, d_d=0.0, d_global=g, wall_ms=1.0, batch_wait_ms=0.0)
             for s, g in enumerate([10.0, 9.0, 2.0, 1.0, 8.0, 9.0], start=1)
         ]
         window = records[-3:]
